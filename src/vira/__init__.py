@@ -57,7 +57,6 @@ from .analysis import (
     Component,
     CompositionSeries,
     Decomposition,
-    RationalMatrix,
     Report,
     TruncationSpec,
     annihilator_normal_form,
@@ -89,7 +88,7 @@ __all__ = [
     "dot_act", "is_whittaker_vector", "map_from_universal", "max_d0",
     "maxdeg", "nilpotency_index", "whittaker_reduce",
     "AnnihilatorParts", "Component", "CompositionSeries", "Decomposition",
-    "RationalMatrix", "Report", "TruncationSpec", "annihilator_normal_form",
+    "Report", "TruncationSpec", "annihilator_normal_form",
     "composition_series", "decompose", "dot_orbit_dimension", "nullspace",
     "verify_degree_bounds", "verify_dot_span", "verify_leading_term",
     "verify_submodule_free", "whittaker_solve",

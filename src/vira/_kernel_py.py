@@ -1,10 +1,8 @@
-"""Straightening and module-action kernel, pure-Python implementation.
+"""Straightening and module-action kernel over ``Fraction``.
 
-This module and ``_kernel_cy.pyx`` implement the same contract; keep the
-two in sync.  ``vira.kernel`` selects the compiled twin at import time
-when it is available.
+Callers import it through ``vira.kernel``.
 
-Data model (plain builtins so both twins share callers and tests):
+Data model (plain builtins, shared with the element layer):
 
 * a UEA term map is ``{(z_power, word): Fraction}`` where ``word`` is a
   tuple of generator indices, non-decreasing in normal form;

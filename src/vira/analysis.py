@@ -25,7 +25,7 @@ from .virasoro import UEAElement, commutator
 from .whittaker import (
     ModuleContext,
     ModuleElement,
-    WhittakerHomomorphism,
+    _as_psi,
     act,
     dot_act,
 )
@@ -34,50 +34,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _as_psi(psi) -> WhittakerHomomorphism:
-    if isinstance(psi, WhittakerHomomorphism):
-        return psi
-    return WhittakerHomomorphism(*psi)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
-
-class RationalMatrix:
-    """Dense rational matrix; thin wrapper used by the nullspace surface."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        data = [tuple(to_rational(v) for v in row) for row in rows]
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise ValueError("matrix rows must have equal length")
-        self.rows = tuple(data)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self):
-        return f"RationalMatrix({[list(map(str, r)) for r in self.rows]})"
-
 
 def _echelon_insert(pivots: dict, row: dict):
     """Reduce ``row`` against the pivot rows and install it.
 
-    ``pivots`` maps a pivot column to its normalized row (pivot entry 1).
-    Returns the new pivot column, or None when the row reduces to zero.
-    The pivot of a row is always its smallest remaining column, which
-    makes the resulting pivot-column set independent of insertion order.
+    Columns may be any mutually comparable keys.  ``pivots`` maps a pivot
+    column to its normalized row (pivot entry 1).  Returns the new pivot
+    column, or None when the row reduces to zero.  The pivot of a row is
+    always its smallest remaining column, which makes the resulting
+    pivot-column set independent of insertion order.
     """
     while row:
         c = min(row)
@@ -122,20 +89,30 @@ def _nullspace_from_pivots(pivots: dict, ncols: int) -> list[tuple]:
     return basis
 
 
-def nullspace(m: RationalMatrix) -> list[tuple]:
+def _row_pivots(rows) -> tuple[dict, int]:
+    """Echelon pivots of a dense matrix given as a list of rows, and its
+    column count.  Entries go through ``to_rational``; ragged rows raise
+    ValueError."""
+    pivots: dict = {}
+    ncols = None
+    for row in rows:
+        row = [to_rational(v) for v in row]
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise ValueError("matrix rows must have equal length")
+        _echelon_insert(pivots, {j: v for j, v in enumerate(row) if v})
+    return pivots, ncols or 0
+
+
+def nullspace(rows) -> list[tuple]:
     """Exact nullspace basis of a rational matrix, in canonical form
     (identity on the free columns, deterministic pivot order)."""
-    pivots: dict = {}
-    for row in m.rows:
-        _echelon_insert(pivots, {j: v for j, v in enumerate(row) if v})
-    return _nullspace_from_pivots(pivots, m.ncols)
+    return _nullspace_from_pivots(*_row_pivots(rows))
 
 
-def rank(m: RationalMatrix) -> int:
-    pivots: dict = {}
-    for row in m.rows:
-        _echelon_insert(pivots, {j: v for j, v in enumerate(row) if v})
-    return len(pivots)
+def rank(rows) -> int:
+    return len(_row_pivots(rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +367,12 @@ def dot_orbit_dimension(v: ModuleElement) -> tuple[int, list[ModuleElement]]:
     """
     if v.is_zero():
         raise ValueError("dot_orbit_dimension requires a nonzero element")
-    colmap: dict = {}
-
-    def col(key):
-        c = colmap.get(key)
-        if c is None:
-            c = len(colmap)
-            colmap[key] = c
-        return c
-
     pivots: dict = {}
     spanning: list[ModuleElement] = []
     queue = [v]
     while queue:
         cur = queue.pop(0)
-        row = {col(key): c for key, c in cur._terms.items()}
-        if _echelon_insert(pivots, row) is None:
+        if _echelon_insert(pivots, dict(cur._terms)) is None:
             continue
         spanning.append(cur)
         cutoff = int(cur.maxdeg()) + 2
@@ -571,22 +538,13 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
             proper = True
         else:
             pivots: dict = {}
-            colmap: dict = {}
-
-            def col(key):
-                c = colmap.get(key)
-                if c is None:
-                    c = len(colmap)
-                    colmap[key] = c
-                return c
-
             nxt = generators[i + 1]
             if not nxt.is_zero():
                 for (t, parts) in trunc.basis_keys(ctx):
                     img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), nxt)
                     if img:
-                        _echelon_insert(pivots, {col(k): c for k, c in img._terms.items()})
-            residue = _echelon_insert(pivots, {col(k): c for k, c in gen._terms.items()})
+                        _echelon_insert(pivots, dict(img._terms))
+            residue = _echelon_insert(pivots, dict(gen._terms))
             proper = residue is not None
         levels.append(
             SeriesLevel(
@@ -717,21 +675,12 @@ def verify_submodule_free(psi, q: Poly, trunc: TruncationSpec) -> Report:
         raise ValueError("verify_submodule_free requires q != 0")
     ctx = ModuleContext.universal(psi)
     target = ctx.poly_vector(q)
-    colmap: dict = {}
-
-    def col(key):
-        c = colmap.get(key)
-        if c is None:
-            c = len(colmap)
-            colmap[key] = c
-        return c
-
     pivots: dict = {}
     independent = 0
     keys = trunc.basis_keys(ctx)
     for (t, parts) in keys:
         img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), target)
-        if _echelon_insert(pivots, {col(k): c for k, c in img._terms.items()}) is not None:
+        if _echelon_insert(pivots, dict(img._terms)) is not None:
             independent += 1
     passed = independent == len(keys)
     return Report(

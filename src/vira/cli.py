@@ -4,7 +4,8 @@ Every engine operation is reachable through a verb; psi and the module
 context always come from flags, never from the expression itself, so
 expressions stay context-free.  Exit codes: 0 success, 1 a verify/solve
 assertion failed, 2 expression parse error, 3 domain error (zero psi,
-non-splitting polynomial, wrong context), 70 internal engine error.
+non-splitting polynomial, wrong context), 70 internal engine error or
+any other crash (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import re
 import sys
 
-from . import kernel, suite
+from . import __version__, kernel, suite
 from .analysis import (
     Report,
     TruncationSpec,
@@ -45,8 +46,6 @@ from .whittaker import (
     act,
 )
 from .witt import project, witt_act, witt_context
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -441,6 +440,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN_ERROR
     except ViraError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except Exception as exc:  # a crash is reported, never a traceback
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
 

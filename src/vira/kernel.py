@@ -1,25 +1,16 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The straightening and module-action kernel used by the engine."""
 
-Set ``VIRA_PURE=1`` in the environment to force the pure-Python kernel
-(useful for benchmarking and for debugging the compiled twin).
-"""
+from ._kernel_py import (
+    IMPL,
+    act_terms,
+    cache_clear,
+    cache_size,
+    central_coefficient,
+    multiply_terms,
+    straighten_word,
+)
 
-import os
-
-_force_pure = os.environ.get("VIRA_PURE", "0") not in ("", "0")
-
-if _force_pure:
-    from vira import _kernel_py as _impl
-else:
-    try:
-        from vira import _kernel_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from vira import _kernel_py as _impl  # type: ignore[no-redef]
-
-IMPL = _impl.IMPL
-cache_clear = _impl.cache_clear
-cache_size = _impl.cache_size
-central_coefficient = _impl.central_coefficient
-straighten_word = _impl.straighten_word
-multiply_terms = _impl.multiply_terms
-act_terms = _impl.act_terms
+__all__ = [
+    "IMPL", "act_terms", "cache_clear", "cache_size", "central_coefficient",
+    "multiply_terms", "straighten_word",
+]

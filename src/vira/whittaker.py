@@ -69,14 +69,19 @@ class WhittakerHomomorphism:
         return f"WhittakerHomomorphism({self.psi1}, {self.psi2})"
 
 
+def _as_psi(psi) -> WhittakerHomomorphism:
+    if isinstance(psi, WhittakerHomomorphism):
+        return psi
+    return WhittakerHomomorphism(*psi)
+
+
 class ModuleContext:
     """Universal module (p is None) or quotient by p(z) applied to w."""
 
     __slots__ = ("psi", "p", "_zreps")
 
     def __init__(self, psi: WhittakerHomomorphism, p: Poly | None = None):
-        if not isinstance(psi, WhittakerHomomorphism):
-            psi = WhittakerHomomorphism(*psi)
+        psi = _as_psi(psi)
         if p is not None:
             if not isinstance(p, Poly):
                 p = Poly(p)
@@ -89,22 +94,22 @@ class ModuleContext:
 
     @classmethod
     def universal(cls, psi) -> "ModuleContext":
-        return cls(_as_psi(psi), None)
+        return cls(psi)
 
     @classmethod
     def central_quotient(cls, psi, xi) -> "ModuleContext":
         """The quotient on which z acts by the scalar xi."""
-        return cls(_as_psi(psi), Poly.z_minus(xi))
+        return cls(psi, Poly.z_minus(xi))
 
     @classmethod
     def quotient(cls, psi, p: Poly) -> "ModuleContext":
-        return cls(_as_psi(psi), p)
+        return cls(psi, p)
 
     @classmethod
     def witt(cls, psi) -> "ModuleContext":
         """Central character 0; the presentation on which the Witt quotient
         of the algebra acts."""
-        return cls(_as_psi(psi), Poly.z())
+        return cls(psi, Poly.z())
 
     @property
     def is_universal(self) -> bool:
@@ -178,7 +183,7 @@ class ModuleContext:
     @classmethod
     def parse_descriptor(cls, text: str, psi) -> "ModuleContext":
         """Parse ``M``, ``L:xi=<rational>``, ``Q:p=<poly>``, or ``W``."""
-        psi = _as_psi(psi)
+        psi = _as_psi(psi)  # psi errors take precedence over descriptor errors
         body = text.strip()
         if body == "M":
             return cls.universal(psi)
@@ -202,12 +207,6 @@ class ModuleContext:
 
     def __repr__(self):
         return f"<ModuleContext {self.descriptor()} psi=({self.psi.psi1},{self.psi.psi2})>"
-
-
-def _as_psi(psi) -> WhittakerHomomorphism:
-    if isinstance(psi, WhittakerHomomorphism):
-        return psi
-    return WhittakerHomomorphism(*psi)
 
 
 def _module_sort_key(item):
@@ -518,7 +517,7 @@ def nilpotency_index(n: int, lam, psi) -> tuple[int, int]:
         raise ValueError("nilpotency index is defined for positive modes only")
     if not isinstance(lam, Pseudopartition):
         lam = Pseudopartition(lam)
-    ctx = ModuleContext.universal(_as_psi(psi))
+    ctx = ModuleContext.universal(psi)
     bound = (lam.size + 2 * lam.count) // n + 1
     v = ctx.basis_vector(0, lam)
     index = 0

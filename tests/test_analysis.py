@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from vira.analysis import (
-    RationalMatrix,
     TruncationSpec,
     annihilator_normal_form,
     composition_series,
@@ -38,12 +37,10 @@ PSI2 = WhittakerHomomorphism(2, Fraction(-3, 2))
 
 class TestNullspace:
     def test_identity_has_trivial_nullspace(self):
-        m = RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert nullspace(m) == []
+        assert nullspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
     def test_zero_matrix(self):
-        m = RationalMatrix([[0, 0, 0], [0, 0, 0]])
-        assert nullspace(m) == [
+        assert nullspace([[0, 0, 0], [0, 0, 0]]) == [
             (1, 0, 0),
             (0, 1, 0),
             (0, 0, 1),
@@ -51,7 +48,7 @@ class TestNullspace:
 
     def test_single_relation(self):
         # x1 + x2 = 0 solved by hand with the free column set to 1
-        assert nullspace(RationalMatrix([[1, 1]])) == [(-1, 1)]
+        assert nullspace([[1, 1]]) == [(-1, 1)]
 
     def test_vectors_annihilate(self):
         rng = random.Random(23)
@@ -60,12 +57,23 @@ class TestNullspace:
                 [rng.randint(-4, 4) for _ in range(5)]
                 for _ in range(rng.randint(1, 5))
             ]
-            m = RationalMatrix(rows)
-            basis = nullspace(m)
+            basis = nullspace(rows)
             for vec in basis:
                 for row in rows:
                     assert sum(a * x for a, x in zip(row, vec)) == 0
-            assert rank(m) + len(basis) == m.ncols
+            assert rank(rows) + len(basis) == 5
+
+    def test_entries_stay_exact(self):
+        # int entries are coerced, so pivot division never makes floats
+        basis = nullspace([[2, 3, 0], [0, 1, 7]])
+        assert basis == [(Fraction(21, 2), -7, 1)]
+        assert all(isinstance(x, Fraction) for vec in basis for x in vec)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            nullspace([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            rank([[1], [2, 3]])
 
 
 class TestWhittakerSolve:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import vira
+from vira import cli
 from vira.cli import main
 
 pytestmark = pytest.mark.usefixtures("plain_output")
@@ -209,6 +211,25 @@ class TestWitt:
         assert "action: d-2*w - 4*d0*w" in out
 
 
+class TestVersion:
+    def test_version_names_package_and_kernel(self, capsys):
+        code, out, _ = run(capsys, "--version")
+        assert code == 0
+        assert out.strip() == f"vira {vira.__version__} (kernel: python)"
+
+
+class TestCrash:
+    def test_unexpected_exception_is_one_line_exit_70(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_straighten", boom)
+        code, out, err = run(capsys, "straighten", "d1")
+        assert code == 70
+        assert out == ""
+        assert err == "internal error: RuntimeError: first line second line\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -224,3 +245,17 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_crash_is_exit_70_without_traceback(self):
+        # d1^45*d-1^45 exhausts the recursion limit of the straightening
+        # kernel; the crash must be one stderr line, not exit 1.
+        proc = subprocess.run(
+            [sys.executable, "-m", "vira", "straighten", "d1^45*d-1^45"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 70
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("internal error: RecursionError")
+        assert "Traceback" not in proc.stderr
