@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .partitions import Pseudopartition, enumerate_pseudopartitions
 from .scalar import NEG_INF, Poly, poly_divmod, poly_ext_gcd, poly_linear_factorization, to_rational
-from .virasoro import UEAElement, commutator
+from .virasoro import UEAElement, commutator, merge_terms, poly_terms
 from .whittaker import (
     ModuleContext,
     ModuleElement,
@@ -212,12 +212,11 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
         b = ctx.basis_vector(t, parts)
         for n in (1, 2):
             for key2, c in dot_act(n, b)._terms.items():
-                row = equations.setdefault((n,) + key2, {})
-                cur = row.get(i)
-                row[i] = c if cur is None else cur + c
+                equations.setdefault((n,) + key2, {})[i] = c
     pivots: dict = {}
     for eqkey in sorted(equations):
-        _echelon_insert(pivots, {j: v for j, v in equations[eqkey].items() if v})
+        # the echelon consumes the row; popping it frees its fill-in
+        _echelon_insert(pivots, equations.pop(eqkey))
     out = []
     for vec in _nullspace_from_pivots(pivots, len(keys)):
         terms = {keys[i]: c for i, c in enumerate(vec) if c}
@@ -386,10 +385,6 @@ def dot_orbit_dimension(v: ModuleElement) -> tuple[int, list[ModuleElement]]:
 # ---------------------------------------------------------------------------
 # decomposition by central support
 
-def _poly_to_uea(q: Poly) -> UEAElement:
-    return UEAElement({(i, ()): c for i, c in enumerate(q.coeffs) if c})
-
-
 @dataclass
 class Component:
     root: Fraction
@@ -447,10 +442,10 @@ def decompose(psi, p: Poly) -> Decomposition:
     cross_ok = True
     for i, ci in enumerate(components):
         for j, cj in enumerate(components):
-            if i != j and not act(_poly_to_uea(cj.complement), ci.generator).is_zero():
+            if i != j and not act(UEAElement.from_poly(cj.complement), ci.generator).is_zero():
                 cross_ok = False
     projection_ok = all(
-        act(_poly_to_uea(c.bezout * c.complement), c.generator) == c.generator
+        act(UEAElement.from_poly(c.bezout * c.complement), c.generator) == c.generator
         for c in components
     )
     return Decomposition(ctx, p, components, identity_ok, cross_ok, projection_ok)
@@ -606,54 +601,35 @@ def annihilator_normal_form(u: UEAElement, psi, p: Poly) -> AnnihilatorParts:
     if p.degree < 1:
         raise DomainError("annihilator normal form requires deg p >= 1")
     p = p.monic()
-    tail_raw: dict[int, dict] = {}
-    lower: dict = {}
+    tail_items: dict[int, list] = {}
+    lower_items: list = []
     work = list(u._terms.items())
     while work:
         (t, word), c = work.pop()
         cut = bisect_right(word, 0)
         if cut == len(word):
-            key = (t, word)
-            cur = lower.get(key)
-            total = c if cur is None else cur + c
-            if total:
-                lower[key] = total
-            else:
-                lower.pop(key, None)
+            lower_items.append(((t, word), c))
             continue
         j = word[-1]
         prefix = (t, word[:-1])
-        bucket = tail_raw.setdefault(j, {})
-        cur = bucket.get(prefix)
-        total = c if cur is None else cur + c
-        if total:
-            bucket[prefix] = total
-        else:
-            bucket.pop(prefix, None)
+        tail_items.setdefault(j, []).append((prefix, c))
         pj = psi.value(j)
         if pj:
             work.append((prefix, c * pj))
     by_word: dict[tuple, dict[int, Fraction]] = {}
-    for (t, word), c in lower.items():
+    for (t, word), c in merge_terms({}, lower_items).items():
         by_word.setdefault(word, {})[t] = c
     u0_terms: dict = {}
     residual_terms: dict = {}
-    for word, coeffs in by_word.items():
-        dense = [_ZERO] * (max(coeffs) + 1)
-        for t, c in coeffs.items():
-            dense[t] = c
-        q, r = poly_divmod(Poly(dense), p)
-        for i, c in enumerate(q.coeffs):
-            if c:
-                u0_terms[(i, word)] = c
-        for i, c in enumerate(r.coeffs):
-            if c:
-                residual_terms[(i, word)] = c
-    tail = [
-        (j, UEAElement._raw({k: c for k, c in bucket.items() if c}))
-        for j, bucket in sorted(tail_raw.items())
-    ]
-    tail = [(j, elem) for j, elem in tail if not elem.is_zero()]
+    for word, powers in by_word.items():
+        q, r = poly_divmod(Poly.from_powers(powers), p)
+        u0_terms.update(poly_terms(q, word))
+        residual_terms.update(poly_terms(r, word))
+    tail = []
+    for j in sorted(tail_items):
+        terms = merge_terms({}, tail_items[j])
+        if terms:
+            tail.append((j, UEAElement._raw(terms)))
     return AnnihilatorParts(
         UEAElement._raw(u0_terms),
         tail,

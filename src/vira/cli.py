@@ -31,21 +31,17 @@ from .analysis import (
     whittaker_solve,
 )
 from .errors import DomainError, ExpressionError, ViraError
-from .exprparse import (
-    evaluate_module,
-    evaluate_poly,
-    evaluate_uea,
-    parse_expression,
-)
+from .exprparse import parse_module, parse_poly, parse_uea
 from .partitions import Pseudopartition
 from .scalar import to_rational
 from .whittaker import (
     ModuleContext,
+    act,
+    dot_act,
     is_whittaker_vector,
     whittaker_reduce,
-    act,
 )
-from .witt import project, witt_act, witt_context
+from .witt import project, witt_act
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -76,10 +72,6 @@ def _psi(args):
 
 def _context(args) -> ModuleContext:
     return ModuleContext.parse_descriptor(args.module, _psi(args))
-
-
-def _trunc(args) -> TruncationSpec:
-    return TruncationSpec(args.maxdeg, args.zerocap, args.zcap)
 
 
 def _uea_json(elem) -> dict:
@@ -114,7 +106,7 @@ def _print_report(report: Report, json_mode: bool, show_witness: bool = True):
 
 
 def cmd_straighten(args) -> int:
-    elem = evaluate_uea(parse_expression(args.expr))
+    elem = parse_uea(args.expr)
     if args.json:
         _emit_json(_uea_json(elem))
     else:
@@ -124,8 +116,8 @@ def cmd_straighten(args) -> int:
 
 def cmd_act(args) -> int:
     ctx = _context(args)
-    u = evaluate_uea(parse_expression(args.operator))
-    v = evaluate_module(parse_expression(args.element), ctx)
+    u = parse_uea(args.operator)
+    v = parse_module(args.element, ctx)
     result = act(u, v)
     if args.json:
         _emit_json(_module_json(result))
@@ -136,7 +128,7 @@ def cmd_act(args) -> int:
 
 def cmd_solve(args) -> int:
     ctx = _context(args)
-    basis = whittaker_solve(ctx, _trunc(args))
+    basis = whittaker_solve(ctx, TruncationSpec(args.maxdeg, args.zerocap, args.zcap))
     passed = args.expect_dim is None or len(basis) == args.expect_dim
     report = Report(
         check="solve",
@@ -177,14 +169,14 @@ def cmd_verify(args) -> int:
         report = verify_dot_span(args.n, args.i, Pseudopartition.parse(args.lam), _psi(args))
     elif args.checker == "vector":
         ctx = _context(args)
-        v = evaluate_module(parse_expression(args.expr), ctx)
+        v = parse_module(args.expr, ctx)
         report = Report(
             check="whittaker_vector",
             params={"module": ctx.descriptor(), "element": str(v)},
             passed=is_whittaker_vector(v),
             witness={
-                "d1_dot": str(_dot(1, v)),
-                "d2_dot": str(_dot(2, v)),
+                "d1_dot": str(dot_act(1, v)),
+                "d2_dot": str(dot_act(2, v)),
                 "elements": [str(v)],
             },
         )
@@ -194,12 +186,6 @@ def cmd_verify(args) -> int:
         raise DomainError(f"unknown checker {args.checker!r}")
     _print_report(report, args.json)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-
-
-def _dot(n, v):
-    from .whittaker import dot_act
-
-    return dot_act(n, v)
 
 
 def _verify_all(args) -> int:
@@ -217,7 +203,7 @@ def _verify_all(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    p = evaluate_poly(parse_expression(args.p))
+    p = parse_poly(args.p)
     report = decompose_report(_psi(args), p)
     _print_report(report, args.json)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -225,15 +211,16 @@ def cmd_decompose(args) -> int:
 
 def cmd_series(args) -> int:
     report = composition_series_report(
-        _psi(args), to_rational(args.xi), args.a, _trunc(args)
+        _psi(args), to_rational(args.xi), args.a,
+        TruncationSpec(args.maxdeg, args.zerocap),
     )
     _print_report(report, args.json)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_annihilate(args) -> int:
-    p = evaluate_poly(parse_expression(args.p))
-    u = evaluate_uea(parse_expression(args.expr))
+    p = parse_poly(args.p)
+    u = parse_uea(args.expr)
     u0, tail, residual = annihilator_normal_form(u, _psi(args), p)
     payload = {
         "u0": _uea_json(u0),
@@ -254,7 +241,7 @@ def cmd_annihilate(args) -> int:
 
 def cmd_reduce(args) -> int:
     ctx = _context(args)
-    v = evaluate_module(parse_expression(args.expr), ctx)
+    v = parse_module(args.expr, ctx)
     if v.is_zero():
         raise DomainError("cannot reduce the zero element")
     trace, result = whittaker_reduce(v)
@@ -272,7 +259,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_orbit(args) -> int:
     ctx = _context(args)
-    v = evaluate_module(parse_expression(args.expr), ctx)
+    v = parse_module(args.expr, ctx)
     if v.is_zero():
         raise DomainError("the orbit of the zero element is trivial")
     dim, spanning = dot_orbit_dimension(v)
@@ -290,12 +277,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_witt(args) -> int:
-    u = evaluate_uea(parse_expression(args.expr))
+    u = parse_uea(args.expr)
     pu = project(u)
     payload = {"projection": _uea_json(pu.lift())}
     if args.element is not None:
-        ctx = witt_context(_psi(args))
-        v = evaluate_module(parse_expression(args.element), ctx)
+        ctx = ModuleContext.witt(_psi(args))
+        v = parse_module(args.element, ctx)
         result = witt_act(pu, v)
         payload["action"] = _module_json(result)
     if args.json:
@@ -316,6 +303,33 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
+def _flag_group(*flags) -> argparse.ArgumentParser:
+    """A parent parser holding ``(flag, add_argument keywords)`` pairs."""
+    group = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in flags:
+        group.add_argument(flag, **kwargs)
+    return group
+
+
+# Flag groups; each verb takes only the groups it reads.  They are built
+# once: a parent only lends its actions to the verbs' parsers.
+_PSI = _flag_group(
+    ("--psi1", dict(default="1", help="value of psi(d_1), nonzero rational")),
+    ("--psi2", dict(default="1", help="value of psi(d_2), nonzero rational")),
+)
+_MODULE = _flag_group(
+    ("--module", dict(default="M",
+                      help="module context: M, L:xi=<rational>, Q:p=<poly>, or W")),
+)
+_DEPTH = _flag_group(
+    ("--maxdeg", dict(type=int, default=4, help="truncation cap on |lam|")),
+    ("--zerocap", dict(type=int, default=2, help="truncation cap on lam(0)")),
+)
+_ZCAP = _flag_group(("--zcap", dict(type=int, default=2, help="truncation cap on z-powers")))
+_JSON = _flag_group(("--json", dict(action="store_true", help="emit JSON reports")))
+_SEED = _flag_group(("--seed", dict(type=int, default=0, help="seed for randomized sweeps")))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="vira",
@@ -325,94 +339,81 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version",
         version=f"vira {__version__} (kernel: {kernel.IMPL})",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--psi1", default="1", help="value of psi(d_1), nonzero rational")
-    common.add_argument("--psi2", default="1", help="value of psi(d_2), nonzero rational")
-    common.add_argument(
-        "--module", default="M",
-        help="module context: M, L:xi=<rational>, Q:p=<poly>, or W",
-    )
-    common.add_argument("--maxdeg", type=int, default=4, help="truncation cap on |lam|")
-    common.add_argument("--zerocap", type=int, default=2, help="truncation cap on lam(0)")
-    common.add_argument("--zcap", type=int, default=2, help="truncation cap on z-powers")
-    common.add_argument("--json", action="store_true", help="emit JSON reports")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("straighten", parents=[common],
+    p = sub.add_parser("straighten", parents=[_JSON],
                        help="rewrite an algebra expression into PBW normal form")
     p.add_argument("expr")
     p.set_defaults(func=cmd_straighten)
 
-    p = sub.add_parser("act", parents=[common],
+    p = sub.add_parser("act", parents=[_PSI, _MODULE, _JSON],
                        help="act by an algebra element on a module element")
     p.add_argument("operator")
     p.add_argument("element")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[_PSI, _MODULE, _DEPTH, _ZCAP, _JSON],
                        help="basis of Whittaker vectors in the truncated span")
     p.add_argument("--expect-dim", type=int, default=None,
                    help="fail (exit 1) unless the dimension matches")
     p.set_defaults(func=cmd_solve)
 
-    # No common flags on the intermediate parser: they would shadow the
-    # leaf options under argparse prefix matching.
+    # No flags on the intermediate parser: they would shadow the leaf
+    # options under argparse prefix matching.
     p = sub.add_parser("verify", help="run a verification check")
     vsub = p.add_subparsers(dest="checker", required=True)
-    v = vsub.add_parser("leading", parents=[common],
+    v = vsub.add_parser("leading", parents=[_PSI, _JSON],
                         help="leading-term identity for powers of one negative mode")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--a", type=int, required=True)
     v.set_defaults(func=cmd_verify, checker="leading")
-    v = vsub.add_parser("degree", parents=[common],
+    v = vsub.add_parser("degree", parents=[_PSI, _JSON],
                         help="degree bound and leading form of [d_m, d_{-lam}] w")
     v.add_argument("--m", type=int, required=True)
     v.add_argument("--lam", required=True, help="pseudopartition, e.g. '(0^2,1,3)'")
     v.set_defaults(func=cmd_verify, checker="degree")
-    v = vsub.add_parser("dotspan", parents=[common],
+    v = vsub.add_parser("dotspan", parents=[_PSI, _JSON],
                         help="span and vanishing bounds of one dot action")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--i", type=int, required=True)
     v.add_argument("--lam", required=True)
     v.set_defaults(func=cmd_verify, checker="dotspan")
-    v = vsub.add_parser("vector", parents=[common],
+    v = vsub.add_parser("vector", parents=[_PSI, _MODULE, _JSON],
                         help="check whether an element is a Whittaker vector")
     v.add_argument("expr")
     v.set_defaults(func=cmd_verify, checker="vector")
-    v = vsub.add_parser("all", parents=[common],
+    v = vsub.add_parser("all", parents=[_SEED, _JSON],
                         help="run the full verification grid")
     v.set_defaults(func=cmd_verify, checker="all")
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[_PSI, _JSON],
                        help="split a polynomial quotient along the roots of p")
     p.add_argument("--p", required=True, help="monic polynomial in z, e.g. '(z-1)^2*(z+3)'")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("series", parents=[common],
+    p = sub.add_parser("series", parents=[_PSI, _DEPTH, _JSON],
                        help="composition chain of the quotient by (z-xi)^a")
     p.add_argument("--xi", required=True)
     p.add_argument("--a", type=int, required=True)
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("annihilate", parents=[common],
+    p = sub.add_parser("annihilate", parents=[_PSI, _JSON],
                        help="normal form against p(z) and the shifted positive modes")
     p.add_argument("--p", required=True)
     p.add_argument("expr")
     p.set_defaults(func=cmd_annihilate)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[_PSI, _MODULE, _JSON],
                        help="extract a Whittaker vector from a quotient-module element")
     p.add_argument("expr")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("orbit", parents=[common],
+    p = sub.add_parser("orbit", parents=[_PSI, _MODULE, _JSON],
                        help="dimension of the dot-action orbit closure")
     p.add_argument("expr")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("witt", parents=[common],
+    p = sub.add_parser("witt", parents=[_PSI, _JSON],
                        help="project to the centerless quotient and optionally act")
     p.add_argument("expr")
     p.add_argument("element", nargs="?", default=None)

@@ -284,16 +284,7 @@ def evaluate_poly(ast: ExpressionAST) -> Poly:
         raise ExpressionError(
             "polynomials in z cannot contain generators or w", offset, ("z", "rational")
         )
-    elem = evaluate_uea(ast)
-    coeffs: dict[int, Fraction] = {}
-    for (t, word), c in elem._terms.items():
-        coeffs[t] = c
-    if not coeffs:
-        return Poly.zero()
-    dense = [Fraction(0)] * (max(coeffs) + 1)
-    for t, c in coeffs.items():
-        dense[t] = c
-    return Poly(dense)
+    return evaluate_uea(ast).poly_part()
 
 
 def _first_generator_offset(ast: ExpressionAST):

@@ -37,11 +37,6 @@ def to_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def coeff_str(c: Fraction) -> str:
-    """Render a coefficient for use as a standalone term: ``5``, ``-3/2``."""
-    return str(c)
-
-
 def coeff_factor_str(c: Fraction) -> str:
     """Render a non-negative coefficient as a product factor: ``4``, ``(3/4)``."""
     return f"({c})" if c.denominator != 1 else str(c)
@@ -59,7 +54,7 @@ def join_terms(parts) -> str:
     for c, factors in parts:
         mag = -c if c < 0 else c
         if not factors:
-            text = coeff_str(mag)
+            text = str(mag)
         elif mag == 1:
             text = "*".join(factors)
         else:
@@ -105,6 +100,14 @@ class Poly:
     @classmethod
     def z_minus(cls, xi) -> "Poly":
         return cls((-to_rational(xi), 1))
+
+    @classmethod
+    def from_powers(cls, powers: dict) -> "Poly":
+        """The polynomial sum c z^t over a map t -> c."""
+        dense = [_ZERO] * (max(powers, default=-1) + 1)
+        for t, c in powers.items():
+            dense[t] = c
+        return cls(dense)
 
     @property
     def degree(self):

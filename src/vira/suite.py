@@ -408,7 +408,7 @@ def check_annihilator(seed: int = 0, samples: int = 50) -> Report:
         ctx = ModuleContext.quotient(psi, p)
         u = _random_uea(rng, max_terms=2, max_len=3, max_index=2, max_z=2)
         u0, tail, residual = annihilator_normal_form(u, psi, p)
-        p_elem = UEAElement({(i, ()): c for i, c in enumerate(p.coeffs) if c})
+        p_elem = UEAElement.from_poly(p)
         rebuilt = u0 * p_elem + residual
         for j, uj in tail:
             shifted = UEAElement.generator(j) - UEAElement.one() * psi.value(j)

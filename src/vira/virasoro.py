@@ -11,6 +11,10 @@ finite rational combination of PBW monomials; products are normalized by
 straightening in the kernel.  Sign conventions: subalgebra membership is
 read off the indices (negative modes, d_0 and z, positive modes), so no
 dedicated subalgebra types exist.
+
+The linear arithmetic, the factor printer and the conversions to and
+from ``Poly`` live here once, in ``TermMap`` and its helpers; algebra,
+module and Witt elements are all term maps and add only what differs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import kernel
-from .scalar import join_terms, to_rational
+from .errors import ContextError
+from .scalar import Poly, join_terms, to_rational
 
 
 class PBWMonomial(NamedTuple):
@@ -45,21 +50,50 @@ def _term_sort_key(item):
     return (sum(word), -len(word), word, t)
 
 
-def _render_word(word) -> list[str]:
-    factors = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
+# ---------------------------------------------------------------------------
+# the term-map core shared by algebra, module and Witt elements
+
+def merge_terms(out: dict, items) -> dict:
+    """Add ``(key, coefficient)`` pairs into ``out``, dropping every key
+    whose total becomes zero; returns ``out``."""
+    for key, c in items:
+        cur = out.get(key)
+        total = c if cur is None else cur + c
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def render_factors(t: int, word, *tail: str) -> list[str]:
+    """The factors of z^t d_{word[0]} ... d_{word[-1]}, one per run of
+    equal generators (``z^2``, ``d-1^3``, ``d2``), then ``tail``."""
+    factors = [] if not t else ["z" if t == 1 else f"z^{t}"]
+    i, n = 0, len(word)
+    while i < n:
+        k = word[i]
+        j = i + 1
+        while j < n and word[j] == k:
             j += 1
-        e = j - i
-        factors.append(f"d{word[i]}" if e == 1 else f"d{word[i]}^{e}")
+        factors.append(f"d{k}" if j - i == 1 else f"d{k}^{j - i}")
         i = j
+    factors.extend(tail)
     return factors
 
 
-class UEAElement:
-    """Element of the universal enveloping algebra in PBW normal form."""
+def poly_terms(q: Poly, word=()) -> dict:
+    """The terms of q(z) times one fixed word or pseudopartition."""
+    return {(i, word): c for i, c in enumerate(q.coeffs) if c}
+
+
+class TermMap:
+    """A finite rational combination of keys ``(z_power, word)``, stored
+    as a dict without zero coefficients.
+
+    Subclasses say which keys are valid (``_check_key``) and where an
+    element lives (``_space``); everything linear is shared.
+    """
 
     __slots__ = ("_terms",)
 
@@ -67,33 +101,99 @@ class UEAElement:
         data: dict = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
-            for (t, word), coeff in items:
-                c = to_rational(coeff)
-                if not c:
-                    continue
-                t = int(t)
-                word = tuple(int(i) for i in word)
-                if t < 0:
-                    raise ValueError("z powers must be non-negative")
-                if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
-                    raise ValueError(
-                        "PBW words must be non-decreasing; use straighten()"
-                    )
-                key = (t, word)
-                cur = data.get(key)
-                total = c if cur is None else cur + c
-                if total:
-                    data[key] = total
-                else:
-                    data.pop(key, None)
+            merge_terms(data, self._checked(items))
         self._terms = data
 
+    def _checked(self, items):
+        for key, coeff in items:
+            c = to_rational(coeff)
+            if c:
+                yield self._check_key(key), c
+
     @classmethod
-    def _raw(cls, data: dict) -> "UEAElement":
-        # Internal: data already normalized (normal-form keys, no zeros).
+    def _raw(cls, data: dict):
+        # Internal: data already normalized (valid keys, no zeros).
         elem = cls.__new__(cls)
         elem._terms = data
         return elem
+
+    def _space(self) -> tuple:
+        """The arguments ``_raw`` takes before the terms: where the
+        element lives.  Elements of different spaces are never equal,
+        and adding them raises ContextError."""
+        return ()
+
+    def _new(self, data: dict):
+        return self._raw(*self._space(), data)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def poly_part(self) -> Poly | None:
+        """The polynomial q with self = q(z) (times w in a module), or
+        None if any d-factor is present."""
+        powers = {}
+        for (t, word), c in self._terms.items():
+            if word:
+                return None
+            powers[t] = c
+        return Poly.from_powers(powers)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self._terms == other._terms
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._space() != other._space():
+            raise ContextError("module elements live in different contexts")
+        return self._new(merge_terms(dict(self._terms), other._terms.items()))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        try:
+            scale = to_rational(other)
+        except TypeError:
+            return NotImplemented
+        return self._scaled(scale)
+
+    __rmul__ = __mul__
+
+    def _scaled(self, scale: Fraction):
+        if not scale:
+            return self._new({})
+        return self._new({k: scale * c for k, c in self._terms.items()})
+
+
+def _check_pbw_key(key):
+    t, word = key
+    t = int(t)
+    word = tuple(int(i) for i in word)
+    if t < 0:
+        raise ValueError("z powers must be non-negative")
+    if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
+        raise ValueError("PBW words must be non-decreasing; use straighten()")
+    return (t, word)
+
+
+class UEAElement(TermMap):
+    """Element of the universal enveloping algebra in PBW normal form."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(_check_pbw_key)
 
     @classmethod
     def zero(cls) -> "UEAElement":
@@ -117,11 +217,10 @@ class UEAElement:
     def monomial(cls, z_power: int, word, coeff=1) -> "UEAElement":
         return cls({(z_power, tuple(word)): coeff})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    @classmethod
+    def from_poly(cls, q: Poly) -> "UEAElement":
+        """q(z) as an element of the enveloping algebra."""
+        return cls._raw(poly_terms(q))
 
     def coefficient(self, z_power: int, word) -> Fraction:
         return self._terms.get((z_power, tuple(word)), Fraction(0))
@@ -139,56 +238,10 @@ class UEAElement:
     def monomials(self) -> list[PBWMonomial]:
         return [m for m, _ in self.sorted_terms()]
 
-    def weights(self) -> set[int]:
-        return {sum(w) for (_, w) in self._terms}
-
-    def __eq__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __neg__(self):
-        return UEAElement._raw({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            cur = out.get(key)
-            total = c if cur is None else cur + c
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return UEAElement._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, UEAElement):
             return UEAElement._raw(kernel.multiply_terms(self._terms, other._terms))
-        try:
-            scale = to_rational(other)
-        except TypeError:
-            return NotImplemented
-        return self._scaled(scale)
-
-    def __rmul__(self, other):
-        # Scalars only; UEAElement * UEAElement is handled by __mul__.
-        try:
-            scale = to_rational(other)
-        except TypeError:
-            return NotImplemented
-        return self._scaled(scale)
-
-    def _scaled(self, scale: Fraction) -> "UEAElement":
-        if not scale:
-            return UEAElement.zero()
-        return UEAElement._raw({k: scale * c for k, c in self._terms.items()})
+        return super().__mul__(other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -203,16 +256,10 @@ class UEAElement:
         return result
 
     def __str__(self):
-        parts = []
-        for (t, word), c in sorted(self._terms.items(), key=_term_sort_key):
-            factors = []
-            if t == 1:
-                factors.append("z")
-            elif t > 1:
-                factors.append(f"z^{t}")
-            factors.extend(_render_word(word))
-            parts.append((c, factors))
-        return join_terms(parts)
+        return join_terms(
+            (c, render_factors(t, word))
+            for (t, word), c in sorted(self._terms.items(), key=_term_sort_key)
+        )
 
     def __repr__(self):
         return f"<UEAElement {self}>"

@@ -27,7 +27,7 @@ from . import kernel
 from .errors import ContextError, DomainError, ReductionError
 from .partitions import Pseudopartition
 from .scalar import NEG_INF, Poly, join_terms, poly_divmod, to_rational
-from .virasoro import UEAElement
+from .virasoro import TermMap, UEAElement, poly_terms, render_factors
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -162,9 +162,7 @@ class ModuleContext:
 
     def poly_vector(self, q: Poly) -> "ModuleElement":
         """q(z) w in this context."""
-        return ModuleElement(
-            self, {(i, ()): c for i, c in enumerate(q.coeffs) if c}
-        )
+        return ModuleElement(self, poly_terms(q))
 
     def from_universal(self, v: "ModuleElement") -> "ModuleElement":
         if not v.context.is_universal:
@@ -192,9 +190,9 @@ class ModuleContext:
         if body.startswith("L:xi="):
             return cls.central_quotient(psi, to_rational(body[5:].strip()))
         if body.startswith("Q:p="):
-            from .exprparse import evaluate_poly, parse_expression
+            from .exprparse import parse_poly
 
-            return cls.quotient(psi, evaluate_poly(parse_expression(body[4:])))
+            return cls.quotient(psi, parse_poly(body[4:]))
         raise DomainError(f"unknown module descriptor: {text!r}")
 
     def __eq__(self, other):
@@ -214,36 +212,29 @@ def _module_sort_key(item):
     return (-sum(parts), -len(parts), parts, t)
 
 
-class ModuleElement:
+class ModuleElement(TermMap):
     """Finite combination of basis vectors z^t d_{-lam} w in a context."""
 
-    __slots__ = ("context", "_terms")
+    __slots__ = ("context",)
 
     def __init__(self, context: ModuleContext, terms=None):
-        data: dict = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for (t, lam), coeff in items:
-                c = to_rational(coeff)
-                if not c:
-                    continue
-                t = int(t)
-                if t < 0:
-                    raise ValueError("z powers must be non-negative")
-                parts = lam.parts if isinstance(lam, Pseudopartition) else tuple(
-                    sorted(int(k) for k in lam)
-                )
-                if parts and parts[0] < 0:
-                    raise ValueError("pseudopartition parts must be non-negative")
-                key = (t, parts)
-                cur = data.get(key)
-                total = c if cur is None else cur + c
-                if total:
-                    data[key] = total
-                else:
-                    data.pop(key, None)
+        super().__init__(terms)
         self.context = context
-        self._terms = context.reduce_raw(data) if data else data
+        if self._terms:
+            self._terms = context.reduce_raw(self._terms)
+
+    @staticmethod
+    def _check_key(key):
+        t, lam = key
+        t = int(t)
+        if t < 0:
+            raise ValueError("z powers must be non-negative")
+        parts = lam.parts if isinstance(lam, Pseudopartition) else tuple(
+            sorted(int(k) for k in lam)
+        )
+        if parts and parts[0] < 0:
+            raise ValueError("pseudopartition parts must be non-negative")
+        return (t, parts)
 
     @classmethod
     def _raw(cls, context: ModuleContext, data: dict) -> "ModuleElement":
@@ -253,11 +244,8 @@ class ModuleElement:
         elem._terms = data
         return elem
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    def _space(self) -> tuple:
+        return (self.context,)
 
     def coefficient(self, t: int, lam) -> Fraction:
         parts = lam.parts if isinstance(lam, Pseudopartition) else tuple(sorted(lam))
@@ -272,62 +260,10 @@ class ModuleElement:
     def raw_terms(self) -> dict:
         return dict(self._terms)
 
-    def support_keys(self) -> list[tuple[int, tuple[int, ...]]]:
-        return sorted(self._terms, key=lambda k: _module_sort_key((k, None)))
-
-    def _require_same_context(self, other: "ModuleElement"):
-        if self.context != other.context:
-            raise ContextError("module elements live in different contexts")
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.context == other.context and self._terms == other._terms
-
-    def __neg__(self):
-        return ModuleElement._raw(self.context, {k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        self._require_same_context(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            cur = out.get(key)
-            total = c if cur is None else cur + c
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return ModuleElement._raw(self.context, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        try:
-            scale = to_rational(other)
-        except TypeError:
-            return NotImplemented
-        return self._scaled(scale)
-
     def __rmul__(self, other):
         if isinstance(other, UEAElement):
             return act(other, self)
-        try:
-            scale = to_rational(other)
-        except TypeError:
-            return NotImplemented
-        return self._scaled(scale)
-
-    def _scaled(self, scale: Fraction) -> "ModuleElement":
-        if not scale:
-            return ModuleElement._raw(self.context, {})
-        return ModuleElement._raw(
-            self.context, {k: scale * c for k, c in self._terms.items()}
-        )
+        return super().__rmul__(other)
 
     def maxdeg(self):
         """Maximum |lam| over nonzero terms; NEG_INF for the zero element."""
@@ -350,21 +286,6 @@ class ModuleElement:
                 best = zeros
         return best
 
-    def poly_part(self) -> Poly | None:
-        """The polynomial q with self = q(z) w, or None if any d-factor
-        is present."""
-        coeffs: dict[int, Fraction] = {}
-        for (t, parts), c in self._terms.items():
-            if parts:
-                return None
-            coeffs[t] = c
-        if not coeffs:
-            return Poly.zero()
-        out = [_ZERO] * (max(coeffs) + 1)
-        for t, c in coeffs.items():
-            out[t] = c
-        return Poly(out)
-
     def json_terms(self) -> list[dict]:
         return [
             {"z": t, "lambda": list(parts), "coeff": str(c)}
@@ -372,26 +293,10 @@ class ModuleElement:
         ]
 
     def __str__(self):
-        parts_out = []
-        for (t, parts), c in sorted(self._terms.items(), key=_module_sort_key):
-            factors = []
-            if t == 1:
-                factors.append("z")
-            elif t > 1:
-                factors.append(f"z^{t}")
-            i = len(parts)
-            while i > 0:
-                j = i
-                while j > 0 and parts[j - 1] == parts[i - 1]:
-                    j -= 1
-                e = i - j
-                k = parts[i - 1]
-                base = f"d-{k}" if k else "d0"
-                factors.append(f"{base}^{e}" if e > 1 else base)
-                i = j
-            factors.append("w")
-            parts_out.append((c, factors))
-        return join_terms(parts_out)
+        return join_terms(
+            (c, render_factors(t, [-k for k in parts[::-1]], "w"))
+            for (t, parts), c in sorted(self._terms.items(), key=_module_sort_key)
+        )
 
     def __repr__(self):
         return f"<ModuleElement {self} in {self.context.descriptor()}>"

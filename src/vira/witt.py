@@ -14,58 +14,33 @@ from fractions import Fraction
 
 from .errors import ContextError
 from .scalar import Poly
-from .virasoro import UEAElement
-from .whittaker import ModuleContext, ModuleElement, act
+from .virasoro import TermMap, UEAElement
+from .whittaker import ModuleElement, act
 
 
-class WittElement:
+class WittElement(TermMap):
     """Element of the enveloping algebra of the centerless quotient:
     a z-free combination of PBW monomials."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _check_key = staticmethod(UEAElement._check_key)
 
     def __init__(self, terms=None):
-        elem = terms if isinstance(terms, UEAElement) else UEAElement(terms)
-        for (t, _word) in elem._terms:
-            if t:
-                raise ValueError("Witt elements carry no z-powers; use project()")
-        self._terms = dict(elem._terms)
-
-    @classmethod
-    def _raw(cls, data: dict) -> "WittElement":
-        out = cls.__new__(cls)
-        out._terms = data
-        return out
+        super().__init__(terms._terms if isinstance(terms, UEAElement) else terms)
+        if any(t for (t, _word) in self._terms):
+            raise ValueError("Witt elements carry no z-powers; use project()")
 
     def lift(self) -> UEAElement:
         """The canonical z-free preimage."""
         return UEAElement._raw(dict(self._terms))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other):
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        return project(self.lift() + other.lift())
-
-    def __sub__(self, other):
-        if not isinstance(other, WittElement):
-            return NotImplemented
-        return project(self.lift() - other.lift())
-
     def __mul__(self, other):
         if isinstance(other, WittElement):
-            return project(self.lift() * other.lift())
-        return project(self.lift() * other)
+            other = other.lift()
+        if isinstance(other, UEAElement):
+            return project(self.lift() * other)
+        return super().__mul__(other)
 
     def __str__(self):
         return str(self.lift())
@@ -79,10 +54,6 @@ def project(u: UEAElement) -> WittElement:
     positive z-power and keeps the rest unchanged."""
     data = {key: c for key, c in u._terms.items() if key[0] == 0}
     return WittElement._raw(data)
-
-
-def witt_context(psi) -> ModuleContext:
-    return ModuleContext.witt(psi)
 
 
 def _require_central_character_zero(v: ModuleElement):

@@ -211,6 +211,32 @@ class TestWitt:
         assert "action: d-2*w - 4*d0*w" in out
 
 
+class TestFlags:
+    """Each verb accepts only the flags it reads."""
+
+    def test_straighten_rejects_psi(self, capsys):
+        code, out, err = run(capsys, "straighten", "--psi1", "2", "d1")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --psi1" in err
+
+    def test_witt_rejects_module(self, capsys):
+        code, out, err = run(capsys, "witt", "--module", "L:xi=1", "d2", "d-2*w")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --module" in err
+
+    def test_verify_all_rejects_psi(self, capsys):
+        code, _, err = run(capsys, "verify", "all", "--psi1", "2")
+        assert code == 2
+        assert "unrecognized arguments: --psi1" in err
+
+    def test_series_rejects_zcap(self, capsys):
+        code, _, err = run(capsys, "series", "--xi", "0", "--a", "2", "--zcap", "1")
+        assert code == 2
+        assert "unrecognized arguments: --zcap" in err
+
+
 class TestVersion:
     def test_version_names_package_and_kernel(self, capsys):
         code, out, _ = run(capsys, "--version")
