@@ -15,6 +15,13 @@ d_a d_b (a > b) as d_b d_a + (b - a) d_{a+b} [+ (a^3 - a)/12 z when
 b = -a] and recurses; it terminates because each rewrite either shortens
 the word or removes one inversion.  Results are memoized per word; the
 returned dicts are shared and must not be mutated by callers.
+
+The action is the product evaluated at w: the universal module is
+U(Vir) tensored over the positive half with the character psi, so
+u . d_{-lam} w is the normal form of u d_{-lam} with its trailing
+positive modes replaced by their psi values.  ``act_terms`` is therefore
+``multiply_terms`` followed by that evaluation, and the evaluation is the
+only place psi enters the kernel.
 """
 
 from bisect import bisect_right
@@ -96,30 +103,27 @@ def act_terms(u_terms, v_terms, psi1, psi2):
     """Action of a UEA term map on a module term map, in the universal
     module (no z-power reduction).
 
-    Trailing positive modes of each straightened word act on the cyclic
-    vector through psi: d_1 -> psi1, d_2 -> psi2, d_n -> 0 for n >= 3.
+    Each basis vector z^t d_{-lam} w is lifted to the word d_{-lam}, the
+    product is straightened once, and every merged normal-form word is
+    evaluated at w: its trailing positive modes act through psi,
+    d_1 -> psi1, d_2 -> psi2, d_n -> 0 for n >= 3.
     """
+    lifted = {
+        (t, tuple(-k for k in reversed(parts))): c
+        for (t, parts), c in v_terms.items()
+    }
     out = {}
-    for (tu, wu), cu in u_terms.items():
-        for (tv, parts), cv in v_terms.items():
-            c0 = cu * cv
-            t0 = tu + tv
-            nword = wu + tuple(-k for k in reversed(parts))
-            for (dz, w), c in straighten_word(nword).items():
-                cut = bisect_right(w, 0)
-                coeff = c0 * c
-                dead = False
-                for j in w[cut:]:
-                    if j == 1:
-                        coeff = coeff * psi1
-                    elif j == 2:
-                        coeff = coeff * psi2
-                    else:
-                        dead = True
-                        break
-                if dead:
-                    continue
-                key = (t0 + dz, tuple(-i for i in reversed(w[:cut])))
-                cur = out.get(key)
-                out[key] = coeff if cur is None else cur + coeff
+    for (t, w), c in multiply_terms(u_terms, lifted).items():
+        cut = bisect_right(w, 0)
+        for j in w[cut:]:
+            if j == 1:
+                c = c * psi1
+            elif j == 2:
+                c = c * psi2
+            else:
+                break  # d_n w = 0 for n >= 3: the word vanishes
+        else:
+            key = (t, tuple(-i for i in reversed(w[:cut])))
+            cur = out.get(key)
+            out[key] = c if cur is None else cur + c
     return {key: c for key, c in out.items() if c}

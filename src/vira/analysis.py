@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .partitions import Pseudopartition, enumerate_pseudopartitions
+from .partitions import Pseudopartition, pseudopartitions_upto
 from .scalar import NEG_INF, Poly, poly_divmod, poly_ext_gcd, poly_linear_factorization, to_rational
 from .virasoro import UEAElement, commutator, merge_terms, poly_terms
 from .whittaker import (
@@ -135,19 +135,12 @@ class TruncationSpec:
         if min(self.max_degree, self.max_zero_count, self.max_z_power) < 0:
             raise ValueError("truncation caps must be non-negative")
 
-    def pseudopartitions(self) -> list[Pseudopartition]:
-        out = []
-        for n in range(self.max_degree + 1):
-            out.extend(enumerate_pseudopartitions(n, self.max_zero_count))
-        out.sort(key=Pseudopartition.sort_key)
-        return out
-
     def basis_keys(self, ctx: ModuleContext) -> list[tuple[int, tuple]]:
         zdim = ctx.z_dimension()
         zcount = self.max_z_power + 1 if zdim is None else zdim
         return [
             (t, lam.parts)
-            for lam in self.pseudopartitions()
+            for lam in pseudopartitions_upto(self.max_degree, self.max_zero_count)
             for t in range(zcount)
         ]
 

@@ -11,6 +11,7 @@ any other crash (one line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -330,7 +331,11 @@ _JSON = _flag_group(("--json", dict(action="store_true", help="emit JSON reports
 _SEED = _flag_group(("--seed", dict(type=int, default=0, help="seed for randomized sweeps")))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once.  Each verb's ``func`` default is
+    its name; ``main`` looks up ``cmd_<name>`` when it dispatches, so the
+    cached parser never holds a handler."""
     parser = _ArgumentParser(
         prog="vira",
         description="Exact computations in Whittaker modules over the Virasoro algebra.",
@@ -344,19 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("straighten", parents=[_JSON],
                        help="rewrite an algebra expression into PBW normal form")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_straighten)
+    p.set_defaults(func="straighten")
 
     p = sub.add_parser("act", parents=[_PSI, _MODULE, _JSON],
                        help="act by an algebra element on a module element")
     p.add_argument("operator")
     p.add_argument("element")
-    p.set_defaults(func=cmd_act)
+    p.set_defaults(func="act")
 
     p = sub.add_parser("solve", parents=[_PSI, _MODULE, _DEPTH, _ZCAP, _JSON],
                        help="basis of Whittaker vectors in the truncated span")
     p.add_argument("--expect-dim", type=int, default=None,
                    help="fail (exit 1) unless the dimension matches")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func="solve")
 
     # No flags on the intermediate parser: they would shadow the leaf
     # options under argparse prefix matching.
@@ -366,70 +371,69 @@ def build_parser() -> argparse.ArgumentParser:
                         help="leading-term identity for powers of one negative mode")
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--a", type=int, required=True)
-    v.set_defaults(func=cmd_verify, checker="leading")
+    v.set_defaults(func="verify", checker="leading")
     v = vsub.add_parser("degree", parents=[_PSI, _JSON],
                         help="degree bound and leading form of [d_m, d_{-lam}] w")
     v.add_argument("--m", type=int, required=True)
     v.add_argument("--lam", required=True, help="pseudopartition, e.g. '(0^2,1,3)'")
-    v.set_defaults(func=cmd_verify, checker="degree")
+    v.set_defaults(func="verify", checker="degree")
     v = vsub.add_parser("dotspan", parents=[_PSI, _JSON],
                         help="span and vanishing bounds of one dot action")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--i", type=int, required=True)
     v.add_argument("--lam", required=True)
-    v.set_defaults(func=cmd_verify, checker="dotspan")
+    v.set_defaults(func="verify", checker="dotspan")
     v = vsub.add_parser("vector", parents=[_PSI, _MODULE, _JSON],
                         help="check whether an element is a Whittaker vector")
     v.add_argument("expr")
-    v.set_defaults(func=cmd_verify, checker="vector")
+    v.set_defaults(func="verify", checker="vector")
     v = vsub.add_parser("all", parents=[_SEED, _JSON],
                         help="run the full verification grid")
-    v.set_defaults(func=cmd_verify, checker="all")
+    v.set_defaults(func="verify", checker="all")
 
     p = sub.add_parser("decompose", parents=[_PSI, _JSON],
                        help="split a polynomial quotient along the roots of p")
     p.add_argument("--p", required=True, help="monic polynomial in z, e.g. '(z-1)^2*(z+3)'")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func="decompose")
 
     p = sub.add_parser("series", parents=[_PSI, _DEPTH, _JSON],
                        help="composition chain of the quotient by (z-xi)^a")
     p.add_argument("--xi", required=True)
     p.add_argument("--a", type=int, required=True)
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(func="series")
 
     p = sub.add_parser("annihilate", parents=[_PSI, _JSON],
                        help="normal form against p(z) and the shifted positive modes")
     p.add_argument("--p", required=True)
     p.add_argument("expr")
-    p.set_defaults(func=cmd_annihilate)
+    p.set_defaults(func="annihilate")
 
     p = sub.add_parser("reduce", parents=[_PSI, _MODULE, _JSON],
                        help="extract a Whittaker vector from a quotient-module element")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func="reduce")
 
     p = sub.add_parser("orbit", parents=[_PSI, _MODULE, _JSON],
                        help="dimension of the dot-action orbit closure")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_orbit)
+    p.set_defaults(func="orbit")
 
     p = sub.add_parser("witt", parents=[_PSI, _JSON],
                        help="project to the centerless quotient and optionally act")
     p.add_argument("expr")
     p.add_argument("element", nargs="?", default=None)
-    p.set_defaults(func=cmd_witt)
+    p.set_defaults(func="witt")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.func}"](args)
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

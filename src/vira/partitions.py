@@ -169,3 +169,13 @@ def enumerate_pseudopartitions(size: int, max_zero_count: int) -> list[Pseudopar
             out.append(Pseudopartition((0,) * zeros + positive))
     out.sort(key=Pseudopartition.sort_key)
     return out
+
+
+def pseudopartitions_upto(max_degree: int, max_zero_count: int) -> list[Pseudopartition]:
+    """All pseudopartitions of size at most max_degree with at most
+    max_zero_count zero parts: the sizes in turn, each in
+    graded-lexicographic order, so the whole list is in that order too."""
+    out = []
+    for n in range(max_degree + 1):
+        out.extend(enumerate_pseudopartitions(n, max_zero_count))
+    return out

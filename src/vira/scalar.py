@@ -25,6 +25,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def power(base, n: int, one):
+    """base**n for n >= 0 by binary powering; ``one`` is the unit.
+
+    The base is squared only while bits of n remain, so no product is
+    formed beyond the ones the result needs.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def to_rational(value) -> Fraction:
     """Coerce ints, Fractions, and strings like ``-3/2`` to Fraction.
 
@@ -192,14 +208,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("polynomial powers must be non-negative")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly.one())
 
     def __divmod__(self, other):
         return poly_divmod(self, _require_poly(other))

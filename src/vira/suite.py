@@ -22,7 +22,7 @@ from .analysis import (
     verify_leading_term,
     whittaker_solve,
 )
-from .partitions import enumerate_pseudopartitions
+from .partitions import pseudopartitions_upto
 from .scalar import Poly
 from .virasoro import UEAElement, bracket, commutator, straighten
 from .whittaker import (
@@ -40,13 +40,6 @@ PSI_SAMPLES = (
     WhittakerHomomorphism(2, Fraction(-3, 2)),
 )
 XI_SAMPLES = (Fraction(0), Fraction(5, 7))
-
-
-def _pseudopartitions_upto(max_degree: int, max_zero_count: int):
-    out = []
-    for n in range(max_degree + 1):
-        out.extend(enumerate_pseudopartitions(n, max_zero_count))
-    return out
 
 
 def _random_uea(rng, max_terms=2, max_len=4, max_index=3, max_z=1) -> UEAElement:
@@ -122,7 +115,7 @@ def check_action_coherence(seed: int = 0, samples: int = 200) -> Report:
     """Associativity of the action: acting by a product equals acting twice,
     across random elements, both context kinds, and several psi/xi values."""
     rng = random.Random(seed)
-    lams = _pseudopartitions_upto(3, 2)
+    lams = pseudopartitions_upto(3, 2)
     failures = []
     elements: list = []
     checked = 0
@@ -181,7 +174,7 @@ def check_degree_bound_grid() -> Report:
     failures = []
     elements: list = []
     cells = 0
-    lams = [lam for lam in _pseudopartitions_upto(6, 2) if not lam.is_empty]
+    lams = [lam for lam in pseudopartitions_upto(6, 2) if not lam.is_empty]
     for psi in PSI_SAMPLES:
         for lam in lams:
             for m in range(1, 9):
@@ -254,7 +247,7 @@ def check_local_nilpotency() -> Report:
     failures = []
     elements: list = []
     cells = 0
-    lams = _pseudopartitions_upto(4, 2)
+    lams = pseudopartitions_upto(4, 2)
     for psi in PSI_SAMPLES:
         ctx = ModuleContext.universal(psi)
         for lam in lams:
@@ -283,7 +276,7 @@ def check_vanishing_bound() -> Report:
     failures = []
     elements: list = []
     cells = 0
-    lams = _pseudopartitions_upto(4, 2)
+    lams = pseudopartitions_upto(4, 2)
     for psi in PSI_SAMPLES:
         ctx = ModuleContext.universal(psi)
         for lam in lams:
@@ -319,7 +312,7 @@ def check_constructive_simplicity(seed: int = 0, samples: int = 100) -> Report:
     nonzero multiple of the cyclic vector, and its descent measure strictly
     decreases at every recorded step (replayed independently here)."""
     rng = random.Random(seed)
-    lams = _pseudopartitions_upto(4, 2)
+    lams = pseudopartitions_upto(4, 2)
     failures = []
     elements: list = []
     for idx in range(samples):
@@ -451,7 +444,7 @@ def check_witt(seed: int = 0, samples: int = 50) -> Report:
             )
             if any(t for (t, _word) in project(central).lift()._terms):
                 failures.append(f"z survived projection ({i},{j})")
-    lams = _pseudopartitions_upto(3, 2)
+    lams = pseudopartitions_upto(3, 2)
     for idx in range(samples):
         psi = PSI_SAMPLES[idx % len(PSI_SAMPLES)]
         ctx = ModuleContext.witt(psi)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import kernel
 from .errors import ContextError
-from .scalar import Poly, join_terms, to_rational
+from .scalar import Poly, join_terms, power, to_rational
 
 
 class PBWMonomial(NamedTuple):
@@ -246,14 +246,7 @@ class UEAElement(TermMap):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in U(V)")
-        result = UEAElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, UEAElement.one())
 
     def __str__(self):
         return join_terms(

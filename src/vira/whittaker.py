@@ -14,13 +14,14 @@ Elements store a map (z_power, lam) -> coefficient.  The action of a
 normal-form element u on a basis vector straightens u * d_{-lam}, sends
 every trailing positive mode to its psi value, and re-reads the
 non-positive remainder as a basis vector.  The dot action of a positive
-mode n is the psi-shifted action d_n . v = d_n v - psi(d_n) v; under it
-every positive mode acts locally nilpotently, which is what drives the
-constructive Whittaker-vector extraction below.
+mode n is the action of d_n - psi(d_n), so d_n . v = d_n v - psi(d_n) v;
+under it every positive mode acts locally nilpotently, which is what
+drives the constructive Whittaker-vector extraction below.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from . import kernel
@@ -275,16 +276,7 @@ class ModuleElement(TermMap):
         """Maximum lam(0) over nonzero terms; NEG_INF for the zero element."""
         if not self._terms:
             return NEG_INF
-        best = 0
-        for (_, parts) in self._terms:
-            zeros = 0
-            for k in parts:
-                if k:
-                    break
-                zeros += 1
-            if zeros > best:
-                best = zeros
-        return best
+        return max(bisect_right(parts, 0) for (_, parts) in self._terms)
 
     def json_terms(self) -> list[dict]:
         return [
@@ -320,14 +312,10 @@ def max_d0(v: ModuleElement):
 
 
 def dot_act(n: int, v: ModuleElement) -> ModuleElement:
-    """The psi-shifted action d_n . v = d_n v - psi(d_n) v, for n >= 1."""
+    """The psi-shifted action d_n . v = (d_n - psi(d_n)) v, for n >= 1."""
     if n < 1:
         raise ValueError("the dot action is defined for positive modes only")
-    out = act(UEAElement.generator(n), v)
-    pn = v.context.psi.value(n)
-    if pn:
-        out = out - v._scaled(pn)
-    return out
+    return act(UEAElement({(0, (n,)): 1, (0, ()): -v.context.psi.value(n)}), v)
 
 
 def is_whittaker_vector(v: ModuleElement) -> bool:
@@ -339,39 +327,26 @@ def is_whittaker_vector(v: ModuleElement) -> bool:
     return dot_act(1, v).is_zero() and dot_act(2, v).is_zero()
 
 
-def _descent_measure(v: ModuleElement) -> tuple[int, int]:
-    """(maxdeg, max lam(0) among maximal-degree terms); v must be nonzero."""
-    top = -1
+def _descent_scan(v: ModuleElement) -> tuple[tuple[int, int], int | None]:
+    """The descent measure of a nonzero v and the mode to apply next.
+
+    The measure is (maxdeg, max lam(0) among maximal-degree terms); the
+    mode is k+2 with k minimal such that lam(k) != 0 among those terms,
+    or None when every maximal-degree term is a bare z-power of w.
+    """
+    top, d0, k = -1, 0, None
     for (_, parts) in v._terms:
         s = sum(parts)
-        if s > top:
-            top = s
-    d0 = 0
-    for (_, parts) in v._terms:
-        if sum(parts) != top:
+        if s < top:
             continue
-        zeros = 0
-        for k in parts:
-            if k:
-                break
-            zeros += 1
+        if s > top:
+            top, d0, k = s, 0, None
+        zeros = bisect_right(parts, 0)
         if zeros > d0:
             d0 = zeros
-    return (top, d0)
-
-
-def _descent_mode(v: ModuleElement) -> int:
-    """The k+2 to apply next: k is minimal with lam(k) != 0 among the
-    maximal-degree terms of v."""
-    top = max(sum(parts) for (_, parts) in v._terms)
-    k = None
-    for (_, parts) in v._terms:
-        if parts and sum(parts) == top:
-            if k is None or parts[0] < k:
-                k = parts[0]
-    if k is None:
-        raise ReductionError("no reducible term; element should be Whittaker already")
-    return k + 2
+        if parts and (k is None or parts[0] < k):
+            k = parts[0]
+    return (top, d0), (None if k is None else k + 2)
 
 
 def whittaker_reduce(v: ModuleElement) -> tuple[list[int], ModuleElement]:
@@ -389,27 +364,27 @@ def whittaker_reduce(v: ModuleElement) -> tuple[list[int], ModuleElement]:
         raise ValueError("whittaker_reduce requires a nonzero element")
     if v.context.is_universal:
         raise ContextError("whittaker_reduce operates in quotient contexts")
-    top, d0max = _descent_measure(v)
+    measure, mode = _descent_scan(v)
+    top = measure[0]
     cap = (top + 1) * (v.max_d0() + top + 2)
     trace: list[int] = []
-    measure = (top, d0max)
     while not is_whittaker_vector(v):
         if len(trace) >= cap:
             raise ReductionError(
                 f"iteration cap {cap} exceeded without reaching a Whittaker vector"
             )
-        mode = _descent_mode(v)
+        if mode is None:
+            raise ReductionError("no reducible term; element should be Whittaker already")
         nxt = dot_act(mode, v)
         if nxt.is_zero():
             raise ReductionError("descent step annihilated a non-Whittaker vector")
-        nxt_measure = _descent_measure(nxt)
+        nxt_measure, nxt_mode = _descent_scan(nxt)
         if not nxt_measure < measure:
             raise ReductionError(
                 f"descent measure failed to decrease: {measure} -> {nxt_measure}"
             )
-        v = nxt
-        measure = nxt_measure
         trace.append(mode)
+        v, measure, mode = nxt, nxt_measure, nxt_mode
     return trace, v
 
 

@@ -255,6 +255,19 @@ class TestCrash:
         assert out == ""
         assert err == "internal error: RuntimeError: first line second line\n"
 
+    def test_patched_handler_runs_after_an_earlier_call(self, capsys, monkeypatch):
+        # The parser is built once; dispatch must still find the handler
+        # bound in the module at call time.
+        assert run(capsys, "straighten", "d1")[0] == 0
+
+        def boom(args):
+            raise RuntimeError("patched")
+
+        monkeypatch.setattr(cli, "cmd_straighten", boom)
+        code, out, err = run(capsys, "straighten", "d1")
+        assert code == 70
+        assert err == "internal error: RuntimeError: patched\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

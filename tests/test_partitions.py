@@ -8,6 +8,7 @@ from vira.partitions import (
     Partition,
     Pseudopartition,
     enumerate_pseudopartitions,
+    pseudopartitions_upto,
     stats,
 )
 
@@ -106,6 +107,16 @@ class TestEnumerate:
         assert len(set(out)) == len(out)
         assert all(lam.size == n and lam.zero_count() <= m for lam in out)
         assert out == sorted(out, key=Pseudopartition.sort_key)
+
+    def test_window_is_sizes_in_turn(self):
+        for n in range(8):
+            for m in range(4):
+                out = pseudopartitions_upto(n, m)
+                assert out == [
+                    lam for size in range(n + 1)
+                    for lam in enumerate_pseudopartitions(size, m)
+                ]
+                assert out == sorted(out, key=Pseudopartition.sort_key)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 """Hypothesis properties of the term-map core: linearity, print/parse
-round trips, the module action, and context separation."""
+round trips, the Jacobi identity, the module and dot actions, and
+context separation."""
 
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from vira.errors import ContextError
 from vira.exprparse import parse_module, parse_uea
 from vira.scalar import Poly
-from vira.virasoro import UEAElement, straighten
-from vira.whittaker import ModuleContext, act
+from vira.virasoro import UEAElement, commutator, d, straighten
+from vira.whittaker import ModuleContext, act, dot_act
 from vira.witt import project
 
 PSI = (Fraction(3, 2), Fraction(-2))
@@ -36,6 +37,16 @@ contexts = st.sampled_from(CONTEXTS)
 # module elements: u acting on the cyclic vector, which reaches every
 # basis vector z^t d_{-lam} w with small lam
 modules = st.tuples(ueas, contexts).map(lambda uc: act(uc[0], uc[1].w()))
+
+PSI2 = (Fraction(2), Fraction(-3, 2))
+CONTEXTS2 = [
+    ModuleContext.universal(PSI2),
+    ModuleContext.central_quotient(PSI2, Fraction(5, 7)),
+    ModuleContext.quotient(PSI2, Poly.z_minus(1) ** 2 * Poly.z_minus(-3)),
+]
+modules2 = st.tuples(ueas, st.sampled_from(CONTEXTS2)).map(
+    lambda uc: act(uc[0], uc[1].w())
+)
 
 examples = settings(max_examples=50, deadline=None)
 
@@ -91,11 +102,28 @@ class TestRoundTrip:
         assert parse_module(str(m), m.context) == m
 
 
+class TestAlgebra:
+    @examples
+    @given(ueas, ueas, ueas)
+    def test_jacobi(self, u, v, t):
+        total = (
+            commutator(commutator(u, v), t)
+            + commutator(commutator(v, t), u)
+            + commutator(commutator(t, u), v)
+        )
+        assert total.is_zero()
+
+
 class TestAction:
     @examples
     @given(ueas, ueas, modules)
     def test_product_acts_as_composition(self, u, v, m):
         assert act(u * v, m) == act(u, act(v, m))
+
+    @examples
+    @given(st.integers(1, 4), modules2)
+    def test_dot_action_is_shifted_action(self, n, m):
+        assert dot_act(n, m) == act(d(n), m) - m * m.context.psi.value(n)
 
 
 class TestContexts:

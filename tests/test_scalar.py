@@ -46,6 +46,13 @@ class TestPoly:
     def test_pow(self):
         assert Poly.z_minus(1) ** 2 == P(1, -2, 1)
 
+    def test_power_is_repeated_product(self):
+        p = P(Fraction(1, 2), -3, 1)
+        expected = Poly.one()
+        for n in range(6):
+            assert p ** n == expected
+            expected = expected * p
+
     def test_to_rational_rejects_floats(self):
         with pytest.raises(TypeError):
             to_rational(0.5)

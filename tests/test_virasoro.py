@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from vira import kernel
+from vira.exprparse import parse_uea
 from vira.virasoro import (
     PBWMonomial,
     UEAElement,
@@ -75,6 +77,28 @@ class TestMultiply:
         u = d(-1)
         assert (2 * u) * u == 2 * straighten([-1, -1])
         assert u ** 3 == straighten([-1, -1, -1])
+
+    def test_power_is_repeated_product(self):
+        u = straighten([2, -1], coeff=3) + straighten([0], z_power=1)
+        expected = UEAElement.one()
+        for n in range(6):
+            assert u ** n == expected
+            expected = expected * u
+
+    def test_power_forms_no_extra_square(self, monkeypatch):
+        # x^3 = x * x^2: the longest product straightened is 2 + 4 letters,
+        # never the 8 of a needless x^4.
+        seen = []
+        original = kernel.multiply_terms
+
+        def spy(a, b):
+            seen.append(max((len(wa) for _, wa in a), default=0)
+                        + max((len(wb) for _, wb in b), default=0))
+            return original(a, b)
+
+        monkeypatch.setattr(kernel, "multiply_terms", spy)
+        parse_uea("(d2*d-1)^3")
+        assert max(seen) == 6
 
 
 class TestWeight:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from vira.errors import ContextError, DomainError
+from vira import whittaker
+from vira.errors import ContextError, DomainError, ReductionError
 from vira.partitions import Pseudopartition
 from vira.scalar import NEG_INF, Poly
 from vira.virasoro import UEAElement, ad_power, d, straighten
@@ -277,6 +278,44 @@ class TestWhittakerReduce:
         trace, out = whittaker_reduce(Q.basis_vector(1, (1, 1)))
         assert is_whittaker_vector(out) and not out.is_zero()
         assert out.poly_part() is not None
+
+
+class TestDescentGuards:
+    """Each guard of whittaker_reduce, forced by a patched dot action."""
+
+    def test_step_that_annihilates(self, monkeypatch):
+        L = central(0)
+        monkeypatch.setattr(whittaker, "is_whittaker_vector", lambda v: False)
+        monkeypatch.setattr(whittaker, "dot_act", lambda n, v: v.context.element())
+        with pytest.raises(ReductionError, match="annihilated a non-Whittaker vector"):
+            whittaker_reduce(L.basis_vector(0, (1,)))
+
+    def test_measure_that_does_not_decrease(self, monkeypatch):
+        L = central(0)
+        monkeypatch.setattr(whittaker, "is_whittaker_vector", lambda v: False)
+        monkeypatch.setattr(whittaker, "dot_act", lambda n, v: v)
+        with pytest.raises(
+            ReductionError, match=r"failed to decrease: \(1, 0\) -> \(1, 0\)"
+        ):
+            whittaker_reduce(L.basis_vector(0, (1,)))
+
+    def test_no_reducible_term(self, monkeypatch):
+        L = central(0)
+        monkeypatch.setattr(whittaker, "is_whittaker_vector", lambda v: False)
+        with pytest.raises(ReductionError, match="no reducible term"):
+            whittaker_reduce(L.w())
+
+    def test_iteration_cap(self, monkeypatch):
+        # (1, 0) -> (0, 20) -> (0, 19) -> ... decreases at every step but
+        # outlasts the cap (1 + 1) * (0 + 1 + 2) = 6.
+        L = central(0)
+        zeros = iter(range(20, 0, -1))
+        monkeypatch.setattr(whittaker, "is_whittaker_vector", lambda v: False)
+        monkeypatch.setattr(
+            whittaker, "dot_act", lambda n, v: L.basis_vector(0, (0,) * next(zeros))
+        )
+        with pytest.raises(ReductionError, match="iteration cap 6 exceeded"):
+            whittaker_reduce(L.basis_vector(0, (1,)))
 
 
 class TestNilpotencyIndex:
