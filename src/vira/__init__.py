@@ -23,21 +23,15 @@ from .scalar import (
     poly_linear_factorization,
 )
 from .partitions import (
-    Partition,
     Pseudopartition,
     enumerate_pseudopartitions,
-    stats,
 )
 from .virasoro import (
-    PBWMonomial,
     UEAElement,
-    ad_power,
     bracket,
     commutator,
     d,
-    multiply,
     straighten,
-    weight,
 )
 from .whittaker import (
     ModuleContext,
@@ -46,9 +40,6 @@ from .whittaker import (
     act,
     dot_act,
     is_whittaker_vector,
-    map_from_universal,
-    max_d0,
-    maxdeg,
     nilpotency_index,
     whittaker_reduce,
 )
@@ -67,7 +58,6 @@ from .analysis import (
     verify_degree_bounds,
     verify_dot_span,
     verify_leading_term,
-    verify_submodule_free,
     whittaker_solve,
 )
 from .witt import WittElement, project, witt_act, witt_bracket
@@ -81,17 +71,15 @@ __all__ = [
     "ReductionError", "ViraError",
     "NEG_INF", "Poly", "Rational",
     "poly_divmod", "poly_ext_gcd", "poly_linear_factorization",
-    "Partition", "Pseudopartition", "enumerate_pseudopartitions", "stats",
-    "PBWMonomial", "UEAElement", "ad_power", "bracket", "commutator", "d",
-    "multiply", "straighten", "weight",
+    "Pseudopartition", "enumerate_pseudopartitions",
+    "UEAElement", "bracket", "commutator", "d", "straighten",
     "ModuleContext", "ModuleElement", "WhittakerHomomorphism", "act",
-    "dot_act", "is_whittaker_vector", "map_from_universal", "max_d0",
-    "maxdeg", "nilpotency_index", "whittaker_reduce",
+    "dot_act", "is_whittaker_vector", "nilpotency_index", "whittaker_reduce",
     "AnnihilatorParts", "Component", "CompositionSeries", "Decomposition",
     "Report", "TruncationSpec", "annihilator_normal_form",
     "composition_series", "decompose", "dot_orbit_dimension", "nullspace",
     "verify_degree_bounds", "verify_dot_span", "verify_leading_term",
-    "verify_submodule_free", "whittaker_solve",
+    "whittaker_solve",
     "WittElement", "project", "witt_act", "witt_bracket",
     "parse_expression", "parse_module", "parse_poly", "parse_uea",
     "kernel",

@@ -628,38 +628,3 @@ def annihilator_normal_form(u: UEAElement, psi, p: Poly) -> AnnihilatorParts:
         tail,
         UEAElement._raw(residual_terms),
     )
-
-
-# ---------------------------------------------------------------------------
-# freeness of submodules of the universal module
-
-def verify_submodule_free(psi, q: Poly, trunc: TruncationSpec) -> Report:
-    """Check that the basis-shaped images z^t d_{-lam} (q(z) w) inside the
-    universal module are linearly independent across the whole truncation
-    window, so the submodule generated by q(z) w is free of the same shape."""
-    psi = _as_psi(psi)
-    if not isinstance(q, Poly):
-        q = Poly(q)
-    if q.is_zero():
-        raise ValueError("verify_submodule_free requires q != 0")
-    ctx = ModuleContext.universal(psi)
-    target = ctx.poly_vector(q)
-    pivots: dict = {}
-    independent = 0
-    keys = trunc.basis_keys(ctx)
-    for (t, parts) in keys:
-        img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), target)
-        if _echelon_insert(pivots, dict(img._terms)) is not None:
-            independent += 1
-    passed = independent == len(keys)
-    return Report(
-        check="submodule_free",
-        params={"q": str(q), "psi1": psi.psi1, "psi2": psi.psi2,
-                "trunc": (trunc.max_degree, trunc.max_zero_count, trunc.max_z_power)},
-        passed=passed,
-        witness={
-            "basis_count": len(keys),
-            "independent_images": independent,
-            "elements": [str(target)],
-        },
-    )

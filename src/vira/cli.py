@@ -78,8 +78,8 @@ def _context(args) -> ModuleContext:
 def _uea_json(elem) -> dict:
     return {
         "terms": [
-            {"z": m.z_power, "word": list(m.word), "coeff": str(c)}
-            for m, c in elem.sorted_terms()
+            {"z": t, "word": list(word), "coeff": str(c)}
+            for (t, word), c in elem.sorted_terms()
         ],
         "text": str(elem),
     }

@@ -94,11 +94,17 @@ class Product:
 
 ExpressionAST = tuple[Product, ...]
 
+#: Deepest parenthesis nesting accepted.  The parser and the evaluators
+#: recurse once per level, so deeper input is refused as a parse error
+#: before it can exhaust the interpreter's stack.
+MAX_GROUP_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -175,8 +181,14 @@ class _Parser:
                 value = Fraction(tok.value, den.value)
             return Atom("num", value, 1, tok.offset)
         if tok.kind == "(":
+            if self.depth == MAX_GROUP_DEPTH:
+                raise ExpressionError(
+                    f"parentheses nested deeper than {MAX_GROUP_DEPTH}", tok.offset
+                )
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return Atom("group", inner, 1, tok.offset)
         raise ExpressionError(

@@ -31,22 +31,6 @@ class Pseudopartition:
         self._mult = mult
 
     @classmethod
-    def from_exponents(cls, exponents) -> "Pseudopartition":
-        """Build from a ``{part: multiplicity}`` mapping."""
-        parts = []
-        for k, m in exponents.items():
-            if m < 0:
-                raise ValueError("multiplicities must be non-negative")
-            parts.extend([k] * m)
-        return cls(parts)
-
-    @classmethod
-    def from_neg_word(cls, word) -> "Pseudopartition":
-        """Inverse of .neg_word(): word is a non-decreasing tuple of
-        non-positive generator indices."""
-        return cls(-i for i in word)
-
-    @classmethod
     def parse(cls, text: str) -> "Pseudopartition":
         """Parse ``0^2 1 3``, ``(0^2,1,3)``, or ``()``."""
         body = text.strip()
@@ -57,7 +41,10 @@ class Pseudopartition:
         for token in body.split():
             if "^" in token:
                 base, _, exp = token.partition("^")
-                parts.extend([int(base)] * int(exp))
+                m = int(exp)
+                if m < 0:
+                    raise ValueError(f"negative multiplicity in {token!r}")
+                parts.extend([int(base)] * m)
             else:
                 parts.append(int(token))
         return cls(parts)
@@ -74,11 +61,6 @@ class Pseudopartition:
     def is_empty(self) -> bool:
         return not self.parts
 
-    @property
-    def is_partition(self) -> bool:
-        """True when there are no zero parts (and the multiset is nonempty)."""
-        return bool(self.parts) and self.parts[0] > 0
-
     def min_index(self):
         """Smallest k with mult(k) > 0, or None for the empty pseudopartition."""
         return self.parts[0] if self.parts else None
@@ -92,9 +74,6 @@ class Pseudopartition:
             raise ValueError(f"{self} has no part {k}")
         idx = self.parts.index(k)
         return Pseudopartition(self.parts[:idx] + self.parts[idx + 1:])
-
-    def add(self, k: int) -> "Pseudopartition":
-        return Pseudopartition(self.parts + (k,))
 
     def neg_word(self) -> tuple[int, ...]:
         """The PBW word of d_{-lam}: negated parts in non-decreasing order."""
@@ -115,11 +94,6 @@ class Pseudopartition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __lt__(self, other):
-        if not isinstance(other, Pseudopartition):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
     def __str__(self):
         if not self.parts:
             return "()"
@@ -130,22 +104,6 @@ class Pseudopartition:
 
     def __repr__(self):
         return f"Pseudopartition({self.parts!r})"
-
-
-class Partition(Pseudopartition):
-    """A pseudopartition with strictly positive parts (nonempty)."""
-
-    __slots__ = ()
-
-    def __init__(self, parts=()):
-        super().__init__(parts)
-        if not self.parts or self.parts[0] == 0:
-            raise ValueError("a partition has at least one part, all positive")
-
-
-def stats(lam: Pseudopartition) -> tuple[int, int]:
-    """(size, number of parts) of a pseudopartition."""
-    return lam.size, lam.count
 
 
 def _ascending_partitions(n: int, min_part: int = 1):

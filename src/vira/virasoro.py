@@ -20,29 +20,10 @@ module and Witt elements are all term maps and add only what differs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import kernel
 from .errors import ContextError
 from .scalar import Poly, join_terms, power, to_rational
-
-
-class PBWMonomial(NamedTuple):
-    """z^z_power d_{word[0]} ... d_{word[-1]} with a non-decreasing word."""
-
-    z_power: int
-    word: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.word)
-
-
-def weight(monomial) -> int:
-    """Adjoint weight of a PBW monomial: the sum of its word indices
-    (z contributes 0)."""
-    _, word = monomial
-    return sum(word)
 
 
 def _term_sort_key(item):
@@ -225,18 +206,9 @@ class UEAElement(TermMap):
     def coefficient(self, z_power: int, word) -> Fraction:
         return self._terms.get((z_power, tuple(word)), Fraction(0))
 
-    @property
-    def terms(self) -> dict[PBWMonomial, Fraction]:
-        return {PBWMonomial(t, w): c for (t, w), c in self._terms.items()}
-
-    def sorted_terms(self) -> list[tuple[PBWMonomial, Fraction]]:
-        return [
-            (PBWMonomial(t, w), c)
-            for (t, w), c in sorted(self._terms.items(), key=_term_sort_key)
-        ]
-
-    def monomials(self) -> list[PBWMonomial]:
-        return [m for m, _ in self.sorted_terms()]
+    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
+        """``((z_power, word), coeff)`` pairs in printing order."""
+        return sorted(self._terms.items(), key=_term_sort_key)
 
     def __mul__(self, other):
         if isinstance(other, UEAElement):
@@ -250,8 +222,7 @@ class UEAElement(TermMap):
 
     def __str__(self):
         return join_terms(
-            (c, render_factors(t, word))
-            for (t, word), c in sorted(self._terms.items(), key=_term_sort_key)
+            (c, render_factors(t, word)) for (t, word), c in self.sorted_terms()
         )
 
     def __repr__(self):
@@ -293,27 +264,6 @@ def straighten(word, z_power: int = 0, coeff=1) -> UEAElement:
     return UEAElement._raw(out)
 
 
-def multiply(u: UEAElement, v: UEAElement) -> UEAElement:
-    """Associative product of U(V), in PBW normal form."""
-    return u * v
-
-
 def commutator(u: UEAElement, v: UEAElement) -> UEAElement:
     """u v - v u."""
     return u * v - v * u
-
-
-def ad_power(n: int, k: int, u: UEAElement) -> UEAElement:
-    """k-fold iterated bracket of d_n against u, straightened.
-
-    Every term of the result lies in the weight(u) + n*k graded component.
-    """
-    if n < 1:
-        raise ValueError("ad_power requires n >= 1")
-    if k < 0:
-        raise ValueError("ad_power requires k >= 0")
-    dn = d(n)
-    out = u
-    for _ in range(k):
-        out = commutator(dn, out)
-    return out

@@ -56,8 +56,6 @@ class WhittakerHomomorphism:
             return self.psi2
         return _ZERO
 
-    __call__ = value
-
     def __eq__(self, other):
         if not isinstance(other, WhittakerHomomorphism):
             return NotImplemented
@@ -165,13 +163,6 @@ class ModuleContext:
         """q(z) w in this context."""
         return ModuleElement(self, poly_terms(q))
 
-    def from_universal(self, v: "ModuleElement") -> "ModuleElement":
-        if not v.context.is_universal:
-            raise ContextError("from_universal expects a universal-module element")
-        if v.context.psi != self.psi:
-            raise ContextError("psi mismatch between contexts")
-        return ModuleElement._raw(self, self.reduce_raw(v._terms))
-
     def descriptor(self) -> str:
         if self.p is None:
             return "M"
@@ -252,12 +243,6 @@ class ModuleElement(TermMap):
         parts = lam.parts if isinstance(lam, Pseudopartition) else tuple(sorted(lam))
         return self._terms.get((t, parts), _ZERO)
 
-    def terms(self) -> list[tuple[int, Pseudopartition, Fraction]]:
-        return [
-            (t, Pseudopartition(parts), c)
-            for (t, parts), c in sorted(self._terms.items(), key=_module_sort_key)
-        ]
-
     def raw_terms(self) -> dict:
         return dict(self._terms)
 
@@ -301,14 +286,6 @@ def act(u: UEAElement, v: ModuleElement) -> ModuleElement:
     psi = v.context.psi
     raw = kernel.act_terms(u._terms, v._terms, psi.psi1, psi.psi2)
     return ModuleElement._raw(v.context, v.context.reduce_raw(raw))
-
-
-def maxdeg(v: ModuleElement):
-    return v.maxdeg()
-
-
-def max_d0(v: ModuleElement):
-    return v.max_d0()
 
 
 def dot_act(n: int, v: ModuleElement) -> ModuleElement:
@@ -409,9 +386,3 @@ def nilpotency_index(n: int, lam, psi) -> tuple[int, int]:
                 f"dot action of d_{n} not nilpotent within the bound {bound}"
             )
     return index, bound
-
-
-def map_from_universal(u: UEAElement, target: ModuleContext) -> ModuleElement:
-    """Image of u under the canonical map sending w to the target's cyclic
-    vector: u acting on w, computed in the target context."""
-    return act(u, target.w())

@@ -16,7 +16,6 @@ from vira.analysis import (
     verify_degree_bounds,
     verify_dot_span,
     verify_leading_term,
-    verify_submodule_free,
     whittaker_solve,
 )
 from vira.errors import NotSplitError
@@ -347,20 +346,3 @@ class TestAnnihilator:
             for (t, _word) in residual._terms:
                 assert t < p.degree
 
-
-class TestSubmoduleFree:
-    def test_unit_generator(self):
-        report = verify_submodule_free(PSI, Poly.one(), TruncationSpec(2, 1, 1))
-        assert report.passed
-
-    def test_linear_generator(self):
-        report = verify_submodule_free(PSI, Poly.z_minus(1), TruncationSpec(3, 1, 2))
-        assert report.passed
-
-    def test_square_generator(self):
-        report = verify_submodule_free(PSI2, Poly((0, 0, 1)), TruncationSpec(2, 1, 2))
-        assert report.passed
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            verify_submodule_free(PSI, Poly.zero(), TruncationSpec(2, 1, 1))

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, and JSON report shapes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 import vira
 from vira import cli
 from vira.cli import main
+from vira.exprparse import MAX_GROUP_DEPTH
 
 pytestmark = pytest.mark.usefixtures("plain_output")
 
@@ -22,6 +24,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """``python -m vira *argv`` in a child that imports the same package
+    as this test run, installed or not."""
+    src = os.path.dirname(os.path.dirname(vira.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "vira", *argv], capture_output=True, text=True, env=env,
+    )
 
 
 class TestStraighten:
@@ -117,6 +130,17 @@ class TestVerify:
             capsys, "verify", "dotspan", "--n", "2", "--i", "0", "--lam", "(2)",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("degree", "--m", "2", "--lam", "(1^-1,2)"),
+        ("dotspan", "--n", "1", "--i", "0", "--lam", "(2^-3)"),
+    ])
+    def test_negative_multiplicity_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("domain error: negative multiplicity")
 
     def test_vector_failure_is_exit_one(self, capsys):
         code, out, _ = run(capsys, "verify", "vector", "d-1*w", "--module", "M")
@@ -271,30 +295,31 @@ class TestCrash:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vira", "straighten", "d1*d-1"],
-            capture_output=True, text=True,
-        )
+        proc = run_process("straighten", "d1*d-1")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "d-1*d1 - 2*d0"
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vira", "no-such-verb"],
-            capture_output=True, text=True,
-        )
+        proc = run_process("no-such-verb")
         assert proc.returncode == 2
 
     def test_crash_is_exit_70_without_traceback(self):
         # d1^45*d-1^45 exhausts the recursion limit of the straightening
         # kernel; the crash must be one stderr line, not exit 1.
-        proc = subprocess.run(
-            [sys.executable, "-m", "vira", "straighten", "d1^45*d-1^45"],
-            capture_output=True, text=True,
-        )
+        proc = run_process("straighten", "d1^45*d-1^45")
         assert proc.returncode == 70
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("internal error: RecursionError")
         assert "Traceback" not in proc.stderr
+
+    def test_deep_parentheses_are_a_parse_error(self):
+        depth = 10 * MAX_GROUP_DEPTH
+        proc = run_process("straighten", "(" * depth + "d1" + ")" * depth)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"parse error: parentheses nested deeper than {MAX_GROUP_DEPTH}"
+            f" at offset {MAX_GROUP_DEPTH}\n"
+        )

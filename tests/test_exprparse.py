@@ -6,6 +6,7 @@ import pytest
 
 from vira.errors import ExpressionError
 from vira.exprparse import (
+    MAX_GROUP_DEPTH,
     parse_expression,
     parse_module,
     parse_poly,
@@ -50,6 +51,16 @@ class TestParsing:
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse_expression("d1 d2")
+
+    def test_nesting_cap(self):
+        n = MAX_GROUP_DEPTH
+        assert n == 100
+        assert parse_uea("(" * n + "d1" + ")" * n) == d(1)
+        ctx = ModuleContext.universal(PSI)
+        assert parse_module("(" * n + "d-1*w" + ")" * n, ctx) == ctx.basis_vector(0, (1,))
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("(" * (n + 1) + "d1" + ")" * (n + 1))
+        assert err.value.offset == n
 
 
 class TestEvaluation:

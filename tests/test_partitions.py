@@ -1,15 +1,13 @@
-"""Pseudopartitions: exponent notation, stats, bounded enumeration."""
+"""Pseudopartitions: exponent notation, size and count, bounded enumeration."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vira.partitions import (
-    Partition,
     Pseudopartition,
     enumerate_pseudopartitions,
     pseudopartitions_upto,
-    stats,
 )
 
 # Independent oracle: coin-change dp over part sizes, nothing shared with
@@ -31,9 +29,9 @@ def test_oracle_matches_frozen_counts():
 
 class TestPseudopartition:
     def test_stats_direct_sums(self):
-        assert stats(Pseudopartition((0, 0, 1, 3))) == (4, 4)
-        assert stats(Pseudopartition()) == (0, 0)
-        assert stats(Pseudopartition((2, 2, 2))) == (6, 3)
+        for parts, size, count in (((0, 0, 1, 3), 4, 4), ((), 0, 0), ((2, 2, 2), 6, 3)):
+            lam = Pseudopartition(parts)
+            assert (lam.size, lam.count) == (size, count)
 
     def test_exponent_lookup(self):
         lam = Pseudopartition((0, 0, 1, 3))
@@ -45,10 +43,6 @@ class TestPseudopartition:
         assert Pseudopartition((2, 3)).min_index() == 2
         assert Pseudopartition().min_index() is None
 
-    def test_from_exponents(self):
-        lam = Pseudopartition.from_exponents({0: 2, 1: 1, 3: 1})
-        assert lam.parts == (0, 0, 1, 3)
-
     def test_negative_part_rejected(self):
         with pytest.raises(ValueError):
             Pseudopartition((-1,))
@@ -56,14 +50,13 @@ class TestPseudopartition:
     def test_remove_add(self):
         lam = Pseudopartition((0, 1, 1, 2))
         assert lam.remove(1).parts == (0, 1, 2)
-        assert lam.add(5).parts == (0, 1, 1, 2, 5)
         with pytest.raises(ValueError):
             lam.remove(7)
 
     def test_neg_word_round_trip(self):
         lam = Pseudopartition((0, 0, 1, 3))
         assert lam.neg_word() == (-3, -1, 0, 0)
-        assert Pseudopartition.from_neg_word(lam.neg_word()) == lam
+        assert Pseudopartition(-i for i in lam.neg_word()) == lam
 
     def test_text_forms(self):
         lam = Pseudopartition((0, 0, 1, 3))
@@ -73,12 +66,11 @@ class TestPseudopartition:
         assert str(Pseudopartition()) == "()"
         assert Pseudopartition.parse("()") == Pseudopartition()
 
-    def test_partition_subtype(self):
-        assert Partition((1, 2)).is_partition
-        with pytest.raises(ValueError):
-            Partition((0, 1))
-        with pytest.raises(ValueError):
-            Partition(())
+    def test_parse_rejects_negative_multiplicity(self):
+        assert Pseudopartition.parse("(1^0,2)") == Pseudopartition((2,))
+        for text in ("(1^-1,2)", "(2^-3)", "0^-1 1"):
+            with pytest.raises(ValueError, match="negative multiplicity"):
+                Pseudopartition.parse(text)
 
 
 class TestEnumerate:
@@ -126,5 +118,5 @@ class TestEnumerate:
     def test_stats_additive_under_union(self, a, b):
         lam, mu = Pseudopartition(a), Pseudopartition(b)
         merged = Pseudopartition(lam.parts + mu.parts)
-        assert stats(merged)[0] == lam.size + mu.size
-        assert stats(merged)[1] == lam.count + mu.count
+        assert merged.size == lam.size + mu.size
+        assert merged.count == lam.count + mu.count

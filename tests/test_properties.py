@@ -1,6 +1,6 @@
 """Hypothesis properties of the term-map core: linearity, print/parse
-round trips, the Jacobi identity, the module and dot actions, and
-context separation."""
+round trips, the grading and the Jacobi identity, the module and dot
+actions, and context separation."""
 
 from fractions import Fraction
 
@@ -103,6 +103,14 @@ class TestRoundTrip:
 
 
 class TestAlgebra:
+    @examples
+    @given(monomials, monomials)
+    def test_grading(self, mu, mv):
+        # every term of u*v has weight wt(u) + wt(v), the sums of the words
+        u, v = straighten(*mu), straighten(*mv)
+        total = sum(mu[0]) + sum(mv[0])
+        assert all(sum(word) == total for (_, word) in (u * v)._terms)
+
     @examples
     @given(ueas, ueas, ueas)
     def test_jacobi(self, u, v, t):
