@@ -86,12 +86,18 @@ def straighten_word(word):
 
 
 def multiply_terms(a, b):
-    """Product of two UEA term maps, straightened into normal form."""
+    """Product of two UEA term maps (normal words), straightened into
+    normal form."""
     out = {}
     for (ta, wa), ca in a.items():
         for (tb, wb), cb in b.items():
             c0 = ca * cb
             t0 = ta + tb
+            if not wa or not wb or wa[-1] <= wb[0]:
+                # two normal words whose concatenation is already normal
+                key = (t0, wa + wb)
+                out[key] = out.get(key, 0) + c0
+                continue
             for (dz, w), c in straighten_word(wa + wb).items():
                 key = (t0 + dz, w)
                 cur = out.get(key)

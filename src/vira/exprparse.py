@@ -1,4 +1,4 @@
-"""Recursive-descent parser and evaluators for element expressions.
+"""Recursive-descent parser and evaluator for element expressions.
 
 Grammar (whitespace-insensitive except inside atoms):
 
@@ -12,8 +12,10 @@ A generator's index is part of its token (``d-3``): no whitespace is
 allowed between ``d`` and the index, which keeps negative indices
 unambiguous next to binary minus.  ``w`` denotes the cyclic vector of a
 module context; it may appear at most once per product, rightmost, and
-only when evaluating into a module.  All printers in the package emit
-strings this grammar accepts, so print/parse round-trips exactly.
+only when evaluating into a module.  A factor's exponent, times those of
+the groups around it, is at most ``MAX_EXPONENT``.  All printers in the
+package emit strings this grammar accepts, so print/parse round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -64,14 +66,9 @@ def _tokenize(text: str) -> list[Token]:
             out.append(Token("num", int(text[i:j]), i))
             i = j
             continue
-        simple = {
-            "z": "z", "w": "w", "+": "+", "-": "-", "*": "*",
-            "^": "^", "/": "/", "(": "(", ")": ")",
-        }
-        kind = simple.get(ch)
-        if kind is None:
+        if ch not in "zw+-*^/()":
             raise ExpressionError(f"unexpected character {ch!r}", i)
-        out.append(Token(kind, ch, i))
+        out.append(Token(ch, None, i))
         i += 1
     out.append(Token("end", None, n))
     return out
@@ -94,10 +91,16 @@ class Product:
 
 ExpressionAST = tuple[Product, ...]
 
-#: Deepest parenthesis nesting accepted.  The parser and the evaluators
+#: Deepest parenthesis nesting accepted.  The parser and the evaluator
 #: recurse once per level, so deeper input is refused as a parse error
 #: before it can exhaust the interpreter's stack.
 MAX_GROUP_DEPTH = 100
+
+#: Largest effective exponent of a factor: its own exponent times those of
+#: the groups around it.  ``d1^k`` builds a word of k letters and ``3^k`` an
+#: integer of about 1.6 k bits, so larger powers are refused before any
+#: arithmetic, as an evaluation error.
+MAX_EXPONENT = 10_000
 
 
 class _Parser:
@@ -161,15 +164,9 @@ class _Parser:
 
     def atom(self) -> Atom:
         tok = self.peek()
-        if tok.kind == "gen":
+        if tok.kind in ("gen", "z", "w"):
             self.advance()
-            return Atom("gen", tok.value, 1, tok.offset)
-        if tok.kind == "z":
-            self.advance()
-            return Atom("z", None, 1, tok.offset)
-        if tok.kind == "w":
-            self.advance()
-            return Atom("w", None, 1, tok.offset)
+            return Atom(tok.kind, tok.value, 1, tok.offset)
         if tok.kind == "num":
             self.advance()
             value = Fraction(tok.value)
@@ -203,55 +200,20 @@ def parse_expression(text: str) -> ExpressionAST:
     return _Parser(text).parse()
 
 
-def _contains_w(ast: ExpressionAST) -> bool:
-    for product in ast:
-        for atom in product.atoms:
-            if atom.kind == "w":
-                return True
-            if atom.kind == "group" and _contains_w(atom.value):
-                return True
-    return False
+def _evaluate(ast: ExpressionAST, target, enclosing: int = 1, module: bool = False):
+    """The sum of the products of ``ast``.
 
-
-def evaluate_uea(ast: ExpressionAST) -> UEAElement:
-    """Evaluate an expression with no ``w`` into the enveloping algebra."""
-    total = UEAElement.zero()
-    for product in ast:
-        total = total + _eval_product_uea(product)
-    return total
-
-
-def _eval_product_uea(product: Product) -> UEAElement:
-    acc = UEAElement.one()
-    for atom in product.atoms:
-        acc = acc * _eval_atom_uea(atom)
-    return -acc if product.negated else acc
-
-
-def _eval_atom_uea(atom: Atom) -> UEAElement:
-    if atom.kind == "gen":
-        return UEAElement.generator(atom.value) ** atom.power
-    if atom.kind == "z":
-        return UEAElement.z_power(atom.power)
-    if atom.kind == "num":
-        return UEAElement.one() * (atom.value ** atom.power)
-    if atom.kind == "group":
-        return evaluate_uea(atom.value) ** atom.power
-    raise ExpressionError(
-        "w is only meaningful in a module expression", atom.offset, ()
-    )
-
-
-def evaluate_module(ast: ExpressionAST, ctx: ModuleContext) -> ModuleElement:
-    """Evaluate an expression into a module context.
-
-    Every product must end in ``w`` (or a parenthesized module-valued
-    group); products that evaluate to zero are tolerated so the string
-    ``0`` round-trips.
+    ``target`` is ``UEAElement``, ``Poly`` (which refuses generators and
+    ``w``) or a ModuleContext (which admits ``w``).  ``enclosing`` is the
+    product of the exponents around ``ast``.  A sum is module-valued when
+    any of its products is, or when ``module`` is set; then every other
+    product must be zero, so the string ``0`` round-trips.
     """
-    total = ctx.element()
-    for product in ast:
-        value = _eval_product_module(product, ctx)
+    values = [_product(product, target, enclosing) for product in ast]
+    if not module and not any(isinstance(v, ModuleElement) for v in values):
+        return sum(values, UEAElement.zero())
+    total = target.element()
+    for product, value in zip(ast, values):
         if isinstance(value, ModuleElement):
             total = total + value
         elif not value.is_zero():
@@ -263,61 +225,71 @@ def evaluate_module(ast: ExpressionAST, ctx: ModuleContext) -> ModuleElement:
     return total
 
 
-def _eval_product_module(product: Product, ctx: ModuleContext):
+def _product(product: Product, target, enclosing: int):
+    """A product is module-valued when its rightmost factor is ``w`` or a
+    module-valued group."""
     acc = UEAElement.one()
     module_value = None
-    for pos, atom in enumerate(product.atoms):
+    for atom in product.atoms:
         if module_value is not None:
             raise ExpressionError(
                 "w must be the rightmost factor of a product", atom.offset, ()
             )
-        if atom.kind == "w":
-            if atom.power != 1:
-                raise ExpressionError("w cannot carry an exponent", atom.offset, ())
-            module_value = ctx.w()
-        elif atom.kind == "group" and _contains_w(atom.value):
-            if atom.power != 1:
-                raise ExpressionError(
-                    "a module-valued group cannot carry an exponent", atom.offset, ()
-                )
-            module_value = evaluate_module(atom.value, ctx)
+        value = _atom(atom, target, enclosing * max(atom.power, 1))
+        if isinstance(value, ModuleElement):
+            module_value = value
         else:
-            acc = acc * _eval_atom_uea(atom)
-    if module_value is None:
-        return -acc if product.negated else acc
-    out = act(acc, module_value)
-    return -out if product.negated else out
+            acc = acc * value
+    if module_value is not None:
+        acc = act(acc, module_value)
+    return -acc if product.negated else acc
 
 
-def evaluate_poly(ast: ExpressionAST) -> Poly:
-    """Evaluate an expression built from z and rationals into Q[z]."""
-    offset = _first_generator_offset(ast)
-    if offset is not None:
+def _atom(atom: Atom, target, exponent: int):
+    if exponent > MAX_EXPONENT:
         raise ExpressionError(
-            "polynomials in z cannot contain generators or w", offset, ("z", "rational")
+            f"exponent {exponent} (with the enclosing powers) exceeds {MAX_EXPONENT}",
+            atom.offset,
         )
-    return evaluate_uea(ast).poly_part()
-
-
-def _first_generator_offset(ast: ExpressionAST):
-    for product in ast:
-        for atom in product.atoms:
-            if atom.kind in ("gen", "w"):
-                return atom.offset
-            if atom.kind == "group":
-                offset = _first_generator_offset(atom.value)
-                if offset is not None:
-                    return offset
-    return None
+    if atom.kind in ("gen", "w") and target is Poly:
+        raise ExpressionError(
+            "polynomials in z cannot contain generators or w", atom.offset, ("z", "rational")
+        )
+    if atom.kind == "gen":
+        return UEAElement.generator(atom.value) ** atom.power
+    if atom.kind == "z":
+        return UEAElement.z_power(atom.power)
+    if atom.kind == "num":
+        return UEAElement.one() * (atom.value ** atom.power)
+    if atom.kind == "w":
+        if not isinstance(target, ModuleContext):
+            raise ExpressionError(
+                "w is only meaningful in a module expression", atom.offset, ()
+            )
+        if atom.power != 1:
+            raise ExpressionError("w cannot carry an exponent", atom.offset, ())
+        return target.w()
+    value = _evaluate(atom.value, target, exponent)
+    if not isinstance(value, ModuleElement):
+        return value ** atom.power
+    if atom.power != 1:
+        raise ExpressionError(
+            "a module-valued group cannot carry an exponent", atom.offset, ()
+        )
+    return value
 
 
 def parse_uea(text: str) -> UEAElement:
-    return evaluate_uea(parse_expression(text))
+    """Evaluate an expression with no ``w`` into the enveloping algebra."""
+    return _evaluate(parse_expression(text), UEAElement)
 
 
 def parse_module(text: str, ctx: ModuleContext) -> ModuleElement:
-    return evaluate_module(parse_expression(text), ctx)
+    """Evaluate an expression into a module context: every nonzero product
+    must end in ``w`` or a parenthesized module-valued group."""
+    return _evaluate(parse_expression(text), ctx, module=True)
 
 
 def parse_poly(text: str) -> Poly:
-    return evaluate_poly(parse_expression(text))
+    """Evaluate an expression built from z and rationals into Q[z]."""
+    return _evaluate(parse_expression(text), Poly).poly_part()

@@ -11,9 +11,9 @@ rational-root theorem.  Floating point is never used.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from .errors import NotSplitError
+from .errors import DomainError, NotSplitError
 
 Rational = Fraction
 
@@ -299,13 +299,29 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0 * inv, s0 * inv, t0 * inv
 
 
+#: Largest trial divisor in the rational-root search.  A constant that
+#: leaves a cofactor above its square, with no prime factor up to it, is
+#: refused rather than factored: trial division would run for hours.
+MAX_TRIAL_DIVISOR = 10**6
+
+
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, from its factorization by trial division."""
     n = abs(n)
-    out = set()
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if p > MAX_TRIAL_DIVISOR:
+            raise DomainError(f"rational-root search: cofactor {n} has no prime factor"
+                              f" up to {MAX_TRIAL_DIVISOR}")
+        layer = out
+        while n % p == 0:
+            n //= p
+            layer = [d * p for d in layer]
+            out = out + layer
+        p += 1
+    if n > 1:
+        out += [d * n for d in out]
     return sorted(out)
 
 

@@ -41,6 +41,14 @@ PSI_SAMPLES = (
 )
 XI_SAMPLES = (Fraction(0), Fraction(5, 7))
 
+#: Grid sizes; each report carries its own in ``params``.
+JACOBI_SPAN = 6
+PAIR_SPAN = 8
+COHERENCE_SAMPLES = 200
+SIMPLICITY_SAMPLES = 100
+ANNIHILATOR_SAMPLES = 50
+WITT_SAMPLES = 50
+
 
 def _random_uea(rng, max_terms=2, max_len=4, max_index=3, max_z=1) -> UEAElement:
     out = UEAElement.zero()
@@ -62,133 +70,120 @@ def _random_module_element(rng, ctx, lams, max_terms=3, max_z=2):
     return out
 
 
-def _keep(elements: list, item, cap: int = 25):
-    if len(elements) < cap:
-        text = str(item)
-        if text not in elements:
-            elements.append(text)
+class _Tally:
+    """Bookkeeping of one check: its cells, the labels of the failing
+    ones, and up to 25 distinct element strings it showed (criterion 13
+    of the acceptance suite round-trips them through the parser)."""
+
+    def __init__(self):
+        self.cells = 0
+        self.failures: list[str] = []
+        self.elements: list[str] = []
+
+    def cell(self, ok: bool, label: str, *shown) -> None:
+        self.cells += 1
+        if not ok:
+            self.failures.append(label)
+        for item in shown:
+            if len(self.elements) < 25:
+                text = str(item)
+                if text not in self.elements:
+                    self.elements.append(text)
+
+    def report(self, check: str, params: dict, count="cells", cap=10, **counts) -> Report:
+        """The check's Report.  ``count`` names the witness key of the cell
+        count (None for none), ``counts`` adds other counts before the
+        failures, and ``cap`` bounds the failures listed (None: all)."""
+        witness = {count: self.cells} if count else {}
+        witness.update(counts)
+        witness["failures"] = self.failures[:cap]
+        witness["elements"] = self.elements
+        return Report(check=check, params=params, passed=not self.failures, witness=witness)
 
 
-def check_cocycle(span: int = 6, pair_span: int = 8) -> Report:
+def check_cocycle() -> Report:
     """Antisymmetry of straightened products against the bracket, and the
     Jacobi identity for all index triples in a box (this pins down the
     central cocycle coefficient exactly)."""
-    failures = []
-    elements: list = []
-    pairs = 0
-    for i in range(-pair_span, pair_span + 1):
+    tally = _Tally()
+    for i in range(-PAIR_SPAN, PAIR_SPAN + 1):
         di = UEAElement.generator(i)
-        for j in range(-pair_span, pair_span + 1):
+        for j in range(-PAIR_SPAN, PAIR_SPAN + 1):
             dj = UEAElement.generator(j)
-            pairs += 1
-            if di * dj - dj * di != bracket(i, j):
-                failures.append(f"antisymmetry ({i},{j})")
-            _keep(elements, di * dj)
-    triples = 0
-    for i in range(-span, span + 1):
-        for j in range(-span, span + 1):
+            tally.cell(di * dj - dj * di == bracket(i, j), f"antisymmetry ({i},{j})", di * dj)
+    pairs = tally.cells
+    for i in range(-JACOBI_SPAN, JACOBI_SPAN + 1):
+        for j in range(-JACOBI_SPAN, JACOBI_SPAN + 1):
             bij = bracket(i, j)
-            for k in range(-span, span + 1):
-                triples += 1
+            for k in range(-JACOBI_SPAN, JACOBI_SPAN + 1):
                 dk = UEAElement.generator(k)
                 total = (
                     commutator(bij, dk)
                     + commutator(bracket(j, k), UEAElement.generator(i))
                     + commutator(bracket(k, i), UEAElement.generator(j))
                 )
-                if not total.is_zero():
-                    failures.append(f"jacobi ({i},{j},{k})")
-    return Report(
-        check="cocycle",
-        params={"jacobi_span": span, "antisymmetry_span": pair_span},
-        passed=not failures,
-        witness={
-            "antisymmetry_pairs": pairs,
-            "jacobi_triples": triples,
-            "failures": failures[:10],
-            "elements": elements,
-        },
+                tally.cell(total.is_zero(), f"jacobi ({i},{j},{k})")
+    return tally.report(
+        "cocycle",
+        {"jacobi_span": JACOBI_SPAN, "antisymmetry_span": PAIR_SPAN},
+        count=None,
+        antisymmetry_pairs=pairs,
+        jacobi_triples=tally.cells - pairs,
     )
 
 
-def check_action_coherence(seed: int = 0, samples: int = 200) -> Report:
+def check_action_coherence(seed: int = 0) -> Report:
     """Associativity of the action: acting by a product equals acting twice,
     across random elements, both context kinds, and several psi/xi values."""
     rng = random.Random(seed)
     lams = pseudopartitions_upto(3, 2)
-    failures = []
-    elements: list = []
-    checked = 0
-    for _ in range(samples):
+    contexts = [ModuleContext.universal(psi) for psi in PSI_SAMPLES]
+    contexts += [ModuleContext.central_quotient(psi, xi)
+                 for psi in PSI_SAMPLES for xi in XI_SAMPLES]
+    tally = _Tally()
+    for _ in range(COHERENCE_SAMPLES):
         u = _random_uea(rng)
         v = _random_uea(rng)
         lam = rng.choice(lams)
         t = rng.randint(0, 2)
         uv = u * v
-        contexts = [ModuleContext.universal(psi) for psi in PSI_SAMPLES]
-        contexts += [
-            ModuleContext.central_quotient(psi, xi)
-            for psi in PSI_SAMPLES
-            for xi in XI_SAMPLES
-        ]
         for ctx in contexts:
             m = ctx.basis_vector(min(t, (ctx.z_dimension() or 3) - 1), lam)
             left = act(uv, m)
-            right = act(u, act(v, m))
-            checked += 1
-            if left != right:
-                failures.append(f"u={u} v={v} m={m} ctx={ctx.descriptor()}")
-            _keep(elements, left)
-    return Report(
-        check="action_coherence",
-        params={"seed": seed, "samples": samples},
-        passed=not failures,
-        witness={"checked": checked, "failures": failures[:5], "elements": elements},
-    )
+            tally.cell(left == act(u, act(v, m)),
+                       f"u={u} v={v} m={m} ctx={ctx.descriptor()}", left)
+    return tally.report("action_coherence", {"seed": seed, "samples": COHERENCE_SAMPLES},
+                        count="checked", cap=5)
 
 
 def check_leading_term_grid() -> Report:
     """Leading-term identity for powers of a single negative mode."""
-    failures = []
-    elements: list = []
-    cells = 0
+    tally = _Tally()
     for psi in PSI_SAMPLES:
         for k in range(0, 5):
             for a in range(1, 5):
                 report = verify_leading_term(k, a, psi)
-                cells += 1
-                if not report.passed:
-                    failures.append(f"k={k} a={a} psi=({psi.psi1},{psi.psi2})")
-                _keep(elements, report.witness["lhs"])
-                _keep(elements, report.witness["remainder"])
-    return Report(
-        check="leading_term_grid",
-        params={"k": "0..4", "a": "1..4", "psi_samples": len(PSI_SAMPLES)},
-        passed=not failures,
-        witness={"cells": cells, "failures": failures[:10], "elements": elements},
+                tally.cell(report.passed, f"k={k} a={a} psi=({psi.psi1},{psi.psi2})",
+                           report.witness["lhs"], report.witness["remainder"])
+    return tally.report(
+        "leading_term_grid",
+        {"k": "0..4", "a": "1..4", "psi_samples": len(PSI_SAMPLES)},
     )
 
 
 def check_degree_bound_grid() -> Report:
     """Degree bound and leading-term form of commutators against d_{-lam}."""
-    failures = []
-    elements: list = []
-    cells = 0
+    tally = _Tally()
     lams = [lam for lam in pseudopartitions_upto(6, 2) if not lam.is_empty]
     for psi in PSI_SAMPLES:
         for lam in lams:
             for m in range(1, 9):
                 report = verify_degree_bounds(m, lam, psi)
-                cells += 1
-                if not report.passed:
-                    failures.append(f"m={m} lam={lam} psi=({psi.psi1},{psi.psi2})")
-                _keep(elements, report.witness["commutator_on_w"])
-    return Report(
-        check="degree_bounds_grid",
-        params={"max_size": 6, "max_zeros": 2, "m": "1..8",
-                "psi_samples": len(PSI_SAMPLES)},
-        passed=not failures,
-        witness={"cells": cells, "failures": failures[:10], "elements": elements},
+                tally.cell(report.passed, f"m={m} lam={lam} psi=({psi.psi1},{psi.psi2})",
+                           report.witness["commutator_on_w"])
+    return tally.report(
+        "degree_bounds_grid",
+        {"max_size": 6, "max_zeros": 2, "m": "1..8", "psi_samples": len(PSI_SAMPLES)},
     )
 
 
@@ -196,57 +191,32 @@ def check_whittaker_dimensions() -> Report:
     """Solver dimensions: T+1 in the universal module, 1 in a central
     quotient, deg p in a polynomial quotient; independent of the
     pseudopartition truncation."""
-    failures = []
-    elements: list = []
-    cells = 0
+    tally = _Tally()
     polys = [
         Poly.z_minus(1) ** 2,
         Poly.z_minus(1) * Poly.z_minus(2),
         (Poly.z_minus(1) ** 2) * Poly.z_minus(-3),
     ]
     for psi in PSI_SAMPLES:
+        # (context, max z-power T, expected dimension, label)
+        cases = [(ModuleContext.universal(psi), t, t + 1, f"universal T={t}") for t in range(4)]
+        cases += [(ModuleContext.central_quotient(psi, xi), 2, 1, f"central xi={xi}")
+                  for xi in XI_SAMPLES]
+        cases += [(ModuleContext.quotient(psi, p), 2, p.degree, f"quotient p={p}") for p in polys]
         for n_cap in (3, 4, 5):
             for z_cap in (1, 2):
-                for t_cap in range(0, 4):
-                    trunc = TruncationSpec(n_cap, z_cap, t_cap)
-                    ctx = ModuleContext.universal(psi)
-                    basis = whittaker_solve(ctx, trunc)
-                    cells += 1
-                    if len(basis) != t_cap + 1:
-                        failures.append(f"universal T={t_cap} N={n_cap} Z={z_cap}")
-                    for b in basis:
-                        _keep(elements, b)
-                trunc = TruncationSpec(n_cap, z_cap, 2)
-                for xi in XI_SAMPLES:
-                    ctx = ModuleContext.central_quotient(psi, xi)
-                    basis = whittaker_solve(ctx, trunc)
-                    cells += 1
-                    if len(basis) != 1:
-                        failures.append(f"central xi={xi} N={n_cap} Z={z_cap}")
-                    for b in basis:
-                        _keep(elements, b)
-                for p in polys:
-                    ctx = ModuleContext.quotient(psi, p)
-                    basis = whittaker_solve(ctx, trunc)
-                    cells += 1
-                    if len(basis) != p.degree:
-                        failures.append(f"quotient p={p} N={n_cap} Z={z_cap}")
-                    for b in basis:
-                        _keep(elements, b)
-    return Report(
-        check="whittaker_dimensions",
-        params={"N": "3..5", "Z": "1..2", "T": "0..3",
-                "psi_samples": len(PSI_SAMPLES)},
-        passed=not failures,
-        witness={"cells": cells, "failures": failures[:10], "elements": elements},
+                for ctx, t_cap, dim, label in cases:
+                    basis = whittaker_solve(ctx, TruncationSpec(n_cap, z_cap, t_cap))
+                    tally.cell(len(basis) == dim, f"{label} N={n_cap} Z={z_cap}", *basis)
+    return tally.report(
+        "whittaker_dimensions",
+        {"N": "3..5", "Z": "1..2", "T": "0..3", "psi_samples": len(PSI_SAMPLES)},
     )
 
 
 def check_local_nilpotency() -> Report:
     """Measured nilpotency of the dot action against the a-priori bound."""
-    failures = []
-    elements: list = []
-    cells = 0
+    tally = _Tally()
     lams = pseudopartitions_upto(4, 2)
     for psi in PSI_SAMPLES:
         ctx = ModuleContext.universal(psi)
@@ -255,67 +225,47 @@ def check_local_nilpotency() -> Report:
             for n in range(1, 5):
                 index, bound = nilpotency_index(n, lam, psi)
                 stated = -(-s // n) + 1  # ceil(s/n) + 1
-                cells += 1
                 v = ctx.basis_vector(0, lam)
                 for _ in range(index):
                     v = dot_act(n, v)
-                if index > bound or bound > stated or not v.is_zero():
-                    failures.append(f"n={n} lam={lam}")
-                _keep(elements, ctx.basis_vector(0, lam))
-    return Report(
-        check="local_nilpotency",
-        params={"max_size": 4, "max_zeros": 2, "n": "1..4",
-                "psi_samples": len(PSI_SAMPLES)},
-        passed=not failures,
-        witness={"cells": cells, "failures": failures[:10], "elements": elements},
+                tally.cell(index <= bound <= stated and v.is_zero(), f"n={n} lam={lam}",
+                           ctx.basis_vector(0, lam))
+    return tally.report(
+        "local_nilpotency",
+        {"max_size": 4, "max_zeros": 2, "n": "1..4", "psi_samples": len(PSI_SAMPLES)},
     )
 
 
 def check_vanishing_bound() -> Report:
     """The dot action of d_n kills z^i d_{-lam} w once n > |lam| + 2."""
-    failures = []
-    elements: list = []
-    cells = 0
+    tally = _Tally()
     lams = pseudopartitions_upto(4, 2)
     for psi in PSI_SAMPLES:
         ctx = ModuleContext.universal(psi)
         for lam in lams:
             for i in range(0, 3):
                 for n in range(lam.size + 3, lam.size + 6):
-                    cells += 1
-                    img = dot_act(n, ctx.basis_vector(i, lam))
-                    if not img.is_zero():
-                        failures.append(f"n={n} i={i} lam={lam}")
-                    _keep(elements, ctx.basis_vector(i, lam))
-    return Report(
-        check="vanishing_bound",
-        params={"max_size": 4, "max_zeros": 2, "i": "0..2",
-                "psi_samples": len(PSI_SAMPLES)},
-        passed=not failures,
-        witness={"cells": cells, "failures": failures[:10], "elements": elements},
+                    v = ctx.basis_vector(i, lam)
+                    tally.cell(dot_act(n, v).is_zero(), f"n={n} i={i} lam={lam}", v)
+    return tally.report(
+        "vanishing_bound",
+        {"max_size": 4, "max_zeros": 2, "i": "0..2", "psi_samples": len(PSI_SAMPLES)},
     )
 
 
 def _measure(v):
-    raw = v.raw_terms()
-    top = max(sum(parts) for (_, parts) in raw)
-    d0 = 0
-    for (_, parts) in raw:
-        if sum(parts) == top:
-            zeros = sum(1 for k in parts if k == 0)
-            d0 = max(d0, zeros)
-    return (top, d0)
+    """(top degree, most zero parts among the top-degree terms)."""
+    return max((sum(parts), parts.count(0)) for (_, parts) in v.raw_terms())
 
 
-def check_constructive_simplicity(seed: int = 0, samples: int = 100) -> Report:
+def check_constructive_simplicity(seed: int = 0) -> Report:
     """Whittaker-vector extraction in a central quotient always lands on a
     nonzero multiple of the cyclic vector, and its descent measure strictly
     decreases at every recorded step (replayed independently here)."""
     rng = random.Random(seed)
     lams = pseudopartitions_upto(4, 2)
-    failures = []
-    elements: list = []
-    for idx in range(samples):
+    tally = _Tally()
+    for idx in range(SIMPLICITY_SAMPLES):
         psi = PSI_SAMPLES[idx % len(PSI_SAMPLES)]
         xi = XI_SAMPLES[(idx // 2) % len(XI_SAMPLES)]
         ctx = ModuleContext.central_quotient(psi, xi)
@@ -336,16 +286,9 @@ def check_constructive_simplicity(seed: int = 0, samples: int = 100) -> Report:
                 break
             measure = nxt
         ok = ok and cur == result
-        if not ok:
-            failures.append(f"sample {idx}: v={v}")
-        _keep(elements, result)
-        _keep(elements, v)
-    return Report(
-        check="constructive_simplicity",
-        params={"seed": seed, "samples": samples},
-        passed=not failures,
-        witness={"failures": failures[:5], "elements": elements},
-    )
+        tally.cell(ok, f"sample {idx}: v={v}", result, v)
+    return tally.report("constructive_simplicity",
+                        {"seed": seed, "samples": SIMPLICITY_SAMPLES}, count=None, cap=5)
 
 
 def check_decomposition() -> Report:
@@ -367,35 +310,22 @@ def check_decomposition() -> Report:
 
 def check_composition_series() -> Report:
     """Chains generated by powers of (z - xi): strict, with simple layers."""
-    failures = []
-    elements: list = []
-    reports = [
-        composition_series_report(PSI_SAMPLES[0], 0, 2),
-        composition_series_report(PSI_SAMPLES[0], 1, 3),
-        composition_series_report(PSI_SAMPLES[1], 0, 2),
-    ]
-    for rep in reports:
-        if not rep.passed:
-            failures.append(rep.headline())
-        for text in rep.witness["elements"]:
-            _keep(elements, text)
-    return Report(
-        check="composition_series",
-        params={"cases": "(xi=0,a=2), (xi=1,a=3)"},
-        passed=not failures,
-        witness={"failures": failures, "elements": elements},
-    )
+    tally = _Tally()
+    for psi, xi, a in ((PSI_SAMPLES[0], 0, 2), (PSI_SAMPLES[0], 1, 3), (PSI_SAMPLES[1], 0, 2)):
+        rep = composition_series_report(psi, xi, a)
+        tally.cell(rep.passed, rep.headline(), *rep.witness["elements"])
+    return tally.report("composition_series", {"cases": "(xi=0,a=2), (xi=1,a=3)"},
+                        count=None, cap=None)
 
 
-def check_annihilator(seed: int = 0, samples: int = 50) -> Report:
+def check_annihilator(seed: int = 0) -> Report:
     """Normal form against p(z) and the shifted positive modes: re-expands
     to the input exactly, and the residual vanishes exactly when the input
     annihilates the cyclic vector of the quotient."""
     rng = random.Random(seed)
-    failures = []
-    elements: list = []
+    tally = _Tally()
     polys = [Poly.z_minus(Fraction(5, 7)), Poly.z_minus(1) * Poly.z_minus(2)]
-    for idx in range(samples):
+    for idx in range(ANNIHILATOR_SAMPLES):
         psi = PSI_SAMPLES[idx % len(PSI_SAMPLES)]
         p = polys[idx % len(polys)]
         ctx = ModuleContext.quotient(psi, p)
@@ -406,9 +336,8 @@ def check_annihilator(seed: int = 0, samples: int = 50) -> Report:
         for j, uj in tail:
             shifted = UEAElement.generator(j) - UEAElement.one() * psi.value(j)
             rebuilt = rebuilt + uj * shifted
-        ok = rebuilt == u
-        annihilates = act(u, ctx.w()).is_zero()
-        ok = ok and (residual.is_zero() == annihilates)
+        image = act(u, ctx.w())
+        ok = rebuilt == u and residual.is_zero() == image.is_zero()
         # constructed annihilator: must have zero residual
         r1 = _random_uea(rng, max_terms=1, max_len=2, max_index=2)
         r2 = _random_uea(rng, max_terms=1, max_len=2, max_index=2)
@@ -417,50 +346,35 @@ def check_annihilator(seed: int = 0, samples: int = 50) -> Report:
         )
         _, _, built_residual = annihilator_normal_form(built, psi, p)
         ok = ok and built_residual.is_zero() and act(built, ctx.w()).is_zero()
-        if not ok:
-            failures.append(f"sample {idx}: u={u} p={p}")
-        _keep(elements, act(u, ctx.w()))
-    return Report(
-        check="annihilator",
-        params={"seed": seed, "samples": samples},
-        passed=not failures,
-        witness={"failures": failures[:5], "elements": elements},
-    )
+        tally.cell(ok, f"sample {idx}: u={u} p={p}", image)
+    return tally.report("annihilator", {"seed": seed, "samples": ANNIHILATOR_SAMPLES},
+                        count=None, cap=5)
 
 
-def check_witt(seed: int = 0, samples: int = 50) -> Report:
+def check_witt(seed: int = 0) -> Report:
     """The projection to the centerless quotient is a bracket homomorphism
     (every central term dies), and its action agrees with acting by any
     preimage where z acts by zero."""
     rng = random.Random(seed)
-    failures = []
-    elements: list = []
+    tally = _Tally()
     for i in range(-6, 7):
         for j in range(-6, 7):
-            if project(bracket(i, j)) != witt_bracket(i, j):
-                failures.append(f"bracket ({i},{j})")
+            tally.cell(project(bracket(i, j)) == witt_bracket(i, j), f"bracket ({i},{j})")
             central = commutator(
                 UEAElement.generator(i), UEAElement.generator(j)
             )
-            if any(t for (t, _word) in project(central).lift()._terms):
-                failures.append(f"z survived projection ({i},{j})")
+            tally.cell(not any(t for (t, _word) in project(central).lift()._terms),
+                       f"z survived projection ({i},{j})")
     lams = pseudopartitions_upto(3, 2)
-    for idx in range(samples):
+    for idx in range(WITT_SAMPLES):
         psi = PSI_SAMPLES[idx % len(PSI_SAMPLES)]
         ctx = ModuleContext.witt(psi)
         u = _random_uea(rng, max_terms=2, max_len=3, max_index=3, max_z=1)
         v = _random_module_element(rng, ctx, lams)
         left = witt_act(project(u), v)
-        right = act(u, v)
-        if left != right:
-            failures.append(f"sample {idx}")
-        _keep(elements, left)
-    return Report(
-        check="witt",
-        params={"bracket_span": 6, "seed": seed, "samples": samples},
-        passed=not failures,
-        witness={"failures": failures[:5], "elements": elements},
-    )
+        tally.cell(left == act(u, v), f"sample {idx}", left)
+    return tally.report("witt", {"bracket_span": 6, "seed": seed, "samples": WITT_SAMPLES},
+                        count=None, cap=5)
 
 
 def run_all(seed: int = 0) -> list[Report]:

@@ -8,7 +8,9 @@ PASS/FAIL line (visible with ``pytest -s`` or in the failure output).
 """
 
 import json
+import sys
 import time
+from pathlib import Path
 
 from vira import suite
 from vira.cli import main
@@ -16,7 +18,17 @@ from vira.errors import ExpressionError
 from vira.exprparse import parse_module, parse_uea
 from vira.whittaker import ModuleContext, WhittakerHomomorphism
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
+
+from workloads import report_digest  # noqa: E402
+
 SEED = 0
+
+#: Digest of each check's JSON report for suite seed SEED, as recorded in
+#: the benchmark's reference data: a report may not change silently.
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["verify-grid"][str(SEED)]
 
 _reports = {}
 
@@ -30,6 +42,7 @@ def _run(number, name, fn, *args):
     print(f"criterion {number:2d} ({name}): {verdict}  [{elapsed:.2f}s]")
     if not report.passed:
         print(json.dumps(report.json_dict(), indent=2))
+    assert report_digest(report) == REFERENCE[report.check], f"{report.check} report changed"
     return report
 
 
@@ -44,7 +57,7 @@ def test_criterion_01_cocycle_soundness():
 def test_criterion_02_action_coherence():
     # 200 seeded triples, both context kinds, psi in {(1,1),(2,-3/2)},
     # xi in {0, 5/7}
-    report = _run(2, "PBW/action coherence", suite.check_action_coherence, SEED, 200)
+    report = _run(2, "PBW/action coherence", suite.check_action_coherence, SEED)
     assert report.passed
     assert report.witness["checked"] == 200 * 6
 
@@ -91,7 +104,7 @@ def test_criterion_08_constructive_simplicity():
     # 100 seeded nonzero elements of central quotients reduce to a nonzero
     # multiple of the cyclic vector with a strictly decreasing measure
     report = _run(
-        8, "constructive simplicity", suite.check_constructive_simplicity, SEED, 100
+        8, "constructive simplicity", suite.check_constructive_simplicity, SEED
     )
     assert report.passed
 
@@ -116,13 +129,13 @@ def test_criterion_10_composition_series():
 def test_criterion_11_annihilator():
     # 50 seeded elements, p in {z - xi, (z-1)(z-2)}: exact re-expansion and
     # residual = 0 iff the element annihilates w
-    report = _run(11, "annihilator", suite.check_annihilator, SEED, 50)
+    report = _run(11, "annihilator", suite.check_annihilator, SEED)
     assert report.passed
 
 
 def test_criterion_12_witt():
     # projection kills the center on [-6,6]^2 and the two action paths agree
-    report = _run(12, "Witt quotient", suite.check_witt, SEED, 50)
+    report = _run(12, "Witt quotient", suite.check_witt, SEED)
     assert report.passed
 
 

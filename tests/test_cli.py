@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -178,6 +179,18 @@ class TestDecompose:
         assert code == 3
         assert "split" in err
 
+    def test_large_constant_term(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "decompose", "--p", "z - 10^24", "--json")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert len(json.loads(out)["witness"]["components"]) == 1
+        code, out, err = run(capsys, "decompose", "--p", f"z - {1000003 * 1000033}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error: rational-root search")
+        assert len(err.splitlines()) == 1
+
 
 class TestSeries:
     def test_chain(self, capsys):
@@ -313,6 +326,16 @@ class TestEntryPoint:
         assert len(lines) == 1
         assert lines[0].startswith("internal error: RecursionError")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("expr", ["((d1^1000)^1000)^1000", "3^100000"])
+    def test_huge_exponent_is_a_parse_error(self, expr):
+        start = time.perf_counter()
+        proc = run_process("straighten", expr)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("parse error: exponent")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_deep_parentheses_are_a_parse_error(self):
         depth = 10 * MAX_GROUP_DEPTH

@@ -6,6 +6,7 @@ import pytest
 
 from vira.errors import ExpressionError
 from vira.exprparse import (
+    MAX_EXPONENT,
     MAX_GROUP_DEPTH,
     parse_expression,
     parse_module,
@@ -61,6 +62,28 @@ class TestParsing:
         with pytest.raises(ExpressionError) as err:
             parse_expression("(" * (n + 1) + "d1" + ")" * (n + 1))
         assert err.value.offset == n
+
+
+class TestExponentCap:
+    def test_at_the_cap(self):
+        assert MAX_EXPONENT == 10_000
+        assert parse_uea("z^10000") == UEAElement.z_power(10_000)
+        assert parse_uea("(d1^100)^100") == d(1) ** 10_000
+        assert parse_poly("((2*z)^10)^1000") == Poly.z() ** 10_000 * 2 ** 10_000
+
+    @pytest.mark.parametrize("text,offset", [
+        ("d1^10001", 0),
+        ("z*(d1^100)^101", 3),
+        ("((d1^1000)^1000)^1000", 1),
+        ("3^100000", 0),
+        ("(d1^100000)^0", 1),
+    ])
+    def test_over_the_cap(self, text, offset):
+        with pytest.raises(ExpressionError) as err:
+            parse_uea(text)
+        assert err.value.args[0].startswith("exponent ")
+        assert err.value.args[0].endswith(f"exceeds {MAX_EXPONENT}")
+        assert err.value.offset == offset
 
 
 class TestEvaluation:
@@ -140,3 +163,39 @@ class TestRoundTrip:
     def test_poly_round_trips(self):
         for p in (Poly((Fraction(1, 2), -3, 1)), Poly.zero(), Poly((0, -1))):
             assert str(parse_poly(str(p))) == str(p)
+
+
+#: (evaluator, input, message, offset, expected) for every evaluation
+#: error; each input holds exactly one error.
+EVALUATION_ERRORS = [
+    ("uea", "w", "w is only meaningful in a module expression", 0, ()),
+    ("uea", "d1*w", "w is only meaningful in a module expression", 3, ()),
+    ("uea", "d2 + (d-1*w)", "w is only meaningful in a module expression", 10, ()),
+    ("module", "w*d1", "w must be the rightmost factor of a product", 2, ()),
+    ("module", "(d-1*w)*d1", "w must be the rightmost factor of a product", 8, ()),
+    ("module", "d1*w^2", "w cannot carry an exponent", 3, ()),
+    ("module", "(d-1*w)^2", "a module-valued group cannot carry an exponent", 0, ()),
+    ("module", "((d-1*w))^3", "a module-valued group cannot carry an exponent", 0, ()),
+    ("module", "d1", "module expression needs 'w' in every nonzero product", 0, ("w",)),
+    ("module", "d-1*w + d2", "module expression needs 'w' in every nonzero product", 8, ("w",)),
+    ("module", "2*(d-1*w + d2)", "module expression needs 'w' in every nonzero product", 11, ("w",)),
+    ("poly", "z + d1", "polynomials in z cannot contain generators or w", 4, ("z", "rational")),
+    ("poly", "z*w", "polynomials in z cannot contain generators or w", 2, ("z", "rational")),
+    ("poly", "z*(1 + (d-2))", "polynomials in z cannot contain generators or w", 8, ("z", "rational")),
+    ("poly", "(z+w)^2", "polynomials in z cannot contain generators or w", 3, ("z", "rational")),
+]
+
+
+class TestEvaluationErrors:
+    @pytest.mark.parametrize("mode,text,message,offset,expected", EVALUATION_ERRORS)
+    def test_message_and_offset(self, mode, text, message, offset, expected):
+        evaluate = {
+            "uea": parse_uea,
+            "module": lambda s: parse_module(s, ModuleContext.universal(PSI)),
+            "poly": parse_poly,
+        }[mode]
+        with pytest.raises(ExpressionError) as err:
+            evaluate(text)
+        assert err.value.args[0] == message
+        assert err.value.offset == offset
+        assert err.value.expected == expected

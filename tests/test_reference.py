@@ -1,0 +1,30 @@
+"""Every short CLI query of the benchmark's pool gives its reference output.
+
+``perfbench/reference.json`` holds the digest of exit code and stdout for
+each query the query-stream workload can draw; the short ones run in
+about a second, so any change to what a verb prints shows up here.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
+
+import vira.cli  # noqa: E402,F401  (workloads looks the module up by name)
+from workloads import cli_digest, run_cli  # noqa: E402
+
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+
+
+def test_short_queries_match_reference():
+    short = [q for q in REFERENCE["query-stream"] if q["kind"] == "short"]
+    assert len(short) == 406
+    differ = []
+    for query in short:
+        code, stdout, _stderr = run_cli(query["argv"])
+        if cli_digest(code, stdout) != query["digest"]:
+            differ.append(query["argv"])
+    assert not differ, f"{len(differ)} queries differ, first {differ[0]}"

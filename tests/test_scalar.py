@@ -1,15 +1,19 @@
 """Polynomial ring Q[z]: division, extended gcd, linear factorization."""
 
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vira.errors import NotSplitError
+from vira.errors import DomainError, NotSplitError
 from vira.scalar import (
+    MAX_TRIAL_DIVISOR,
     NEG_INF,
     Poly,
+    _divisors,
     poly_divmod,
     poly_ext_gcd,
     poly_linear_factorization,
@@ -146,6 +150,27 @@ class TestLinearFactorization:
             (Fraction(-1, 2), 1),
             (Fraction(5, 7), 1),
         ]
+
+    def test_divisors_match_trial_division_to_the_root(self):
+        def every_divisor(n):
+            return sorted({d for i in range(1, isqrt(n) + 1) if n % i == 0 for d in (i, n // i)})
+
+        for n in [*range(1, 2000), 720720, 2 ** 40, 3 ** 20 * 7, 999983 * 999979, 10 ** 12 + 39]:
+            assert _divisors(n) == every_divisor(n)
+            assert _divisors(-n) == every_divisor(n)
+
+    def test_large_smooth_constant_splits_fast(self):
+        start = time.perf_counter()
+        assert poly_linear_factorization(Poly.z_minus(10 ** 24)) == [(10 ** 24, 1)]
+        assert time.perf_counter() - start < 0.5
+
+    def test_constant_with_two_large_primes_refused(self):
+        bound = MAX_TRIAL_DIVISOR
+        assert bound == 10 ** 6
+        with pytest.raises(DomainError) as err:
+            poly_linear_factorization(Poly.z_minus(1000003 * 1000033))
+        assert f"no prime factor up to {bound}" in str(err.value)
+        assert not isinstance(err.value, NotSplitError)
 
     @settings(max_examples=60, deadline=None)
     @given(
