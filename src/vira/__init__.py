@@ -45,9 +45,6 @@ from .whittaker import (
 )
 from .analysis import (
     AnnihilatorParts,
-    Component,
-    CompositionSeries,
-    Decomposition,
     Report,
     TruncationSpec,
     annihilator_normal_form,
@@ -75,8 +72,7 @@ __all__ = [
     "UEAElement", "bracket", "commutator", "d", "straighten",
     "ModuleContext", "ModuleElement", "WhittakerHomomorphism", "act",
     "dot_act", "is_whittaker_vector", "nilpotency_index", "whittaker_reduce",
-    "AnnihilatorParts", "Component", "CompositionSeries", "Decomposition",
-    "Report", "TruncationSpec", "annihilator_normal_form",
+    "AnnihilatorParts", "Report", "TruncationSpec", "annihilator_normal_form",
     "composition_series", "decompose", "dot_orbit_dimension", "nullspace",
     "verify_degree_bounds", "verify_dot_span", "verify_leading_term",
     "whittaker_solve",

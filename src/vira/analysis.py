@@ -18,17 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError
 from .partitions import Pseudopartition, pseudopartitions_upto
 from .scalar import NEG_INF, Poly, poly_divmod, poly_ext_gcd, poly_linear_factorization, to_rational
 from .virasoro import UEAElement, commutator, merge_terms, poly_terms
-from .whittaker import (
-    ModuleContext,
-    ModuleElement,
-    _as_psi,
-    act,
-    dot_act,
-)
+from .whittaker import ModuleContext, ModuleElement, act, dot_act
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -227,8 +220,8 @@ def verify_leading_term(k: int, a: int, psi) -> Report:
     below a-1 for k = 0)."""
     if k < 0 or a < 1:
         raise ValueError("verify_leading_term requires k >= 0 and a >= 1")
-    psi = _as_psi(psi)
     ctx = ModuleContext.universal(psi)
+    psi = ctx.psi
     lhs = act(
         commutator(UEAElement.generator(k + 2), UEAElement.generator(-k) ** a),
         ctx.w(),
@@ -268,8 +261,8 @@ def verify_degree_bounds(m: int, lam, psi) -> Report:
         lam = Pseudopartition(lam)
     if lam.is_empty:
         raise ValueError("verify_degree_bounds requires a nonzero pseudopartition")
-    psi = _as_psi(psi)
     ctx = ModuleContext.universal(psi)
+    psi = ctx.psi
     dlam = UEAElement.monomial(0, lam.neg_word())
     full = act(commutator(UEAElement.generator(m), dlam), ctx.w())
     bound_i = lam.size - m + 2
@@ -322,8 +315,8 @@ def verify_dot_span(n: int, i: int, lam, psi) -> Report:
         raise ValueError("verify_dot_span requires n >= 1 and i >= 0")
     if not isinstance(lam, Pseudopartition):
         lam = Pseudopartition(lam)
-    psi = _as_psi(psi)
     ctx = ModuleContext.universal(psi)
+    psi = ctx.psi
     r = dot_act(n, ctx.basis_vector(i, lam))
     bound = lam.size + lam.zero_count()
     ok_span = True
@@ -378,30 +371,7 @@ def dot_orbit_dimension(v: ModuleElement) -> tuple[int, list[ModuleElement]]:
 # ---------------------------------------------------------------------------
 # decomposition by central support
 
-@dataclass
-class Component:
-    root: Fraction
-    multiplicity: int
-    complement: Poly        # product of the other linear-power factors
-    bezout: Poly            # q_j with sum_j q_j * complement_j = 1
-    generator: ModuleElement  # complement(z) w inside the full quotient
-
-
-@dataclass
-class Decomposition:
-    context: ModuleContext
-    polynomial: Poly
-    components: list[Component]
-    identity_ok: bool       # sum q_j p_j == 1 exactly
-    cross_ok: bool          # p_j applied to w_i vanishes for i != j
-    projection_ok: bool     # q_i p_i w_i == w_i
-
-    @property
-    def passed(self) -> bool:
-        return self.identity_ok and self.cross_ok and self.projection_ok
-
-
-def decompose(psi, p: Poly) -> Decomposition:
+def decompose(psi, p: Poly) -> Report:
     """Split the quotient by p(z) into components along the roots of p.
 
     For p = prod (z - xi_i)^{a_i} the component generators are
@@ -410,62 +380,41 @@ def decompose(psi, p: Poly) -> Decomposition:
     sum q_j p_j = 1 exactly, which drives the projection identities
     checked here.  The composition length of component j is a_j.
     """
-    psi = _as_psi(psi)
-    if not isinstance(p, Poly):
-        p = Poly(p)
-    if p.degree < 1:
-        raise DomainError("decompose requires a polynomial of degree >= 1")
-    p = p.monic()
-    factors = poly_linear_factorization(p)
     ctx = ModuleContext.quotient(psi, p)
-    components = []
-    for root, mult in factors:
+    components = []  # (xi, a_j, p_j, q_j, w_j)
+    for root, mult in poly_linear_factorization(ctx.p):
         f = Poly.z_minus(root) ** mult
-        comp_poly, rem = poly_divmod(p, f)
+        p_j, rem = poly_divmod(ctx.p, f)
         assert rem.is_zero()
-        _, s, _ = poly_ext_gcd(comp_poly, f)
-        _, q = poly_divmod(s, f)
-        components.append(
-            Component(root, mult, comp_poly, q, ctx.poly_vector(comp_poly))
-        )
-    total = Poly.zero()
-    for comp in components:
-        total = total + comp.bezout * comp.complement
-    identity_ok = total == Poly.one()
-    cross_ok = True
-    for i, ci in enumerate(components):
-        for j, cj in enumerate(components):
-            if i != j and not act(UEAElement.from_poly(cj.complement), ci.generator).is_zero():
-                cross_ok = False
-    projection_ok = all(
-        act(UEAElement.from_poly(c.bezout * c.complement), c.generator) == c.generator
-        for c in components
+        _, s, _ = poly_ext_gcd(p_j, f)
+        _, q_j = poly_divmod(s, f)
+        components.append((root, mult, p_j, q_j, ctx.poly_vector(p_j)))
+    identity_ok = sum((q_j * p_j for _, _, p_j, q_j, _ in components), Poly.zero()) == Poly.one()
+    # p_j annihilates w_i for i != j, and q_i p_i fixes w_i
+    cross_ok = all(
+        act(UEAElement.from_poly(p_j), w_i).is_zero()
+        for i, (*_, w_i) in enumerate(components)
+        for j, (_, _, p_j, _, _) in enumerate(components)
+        if i != j
     )
-    return Decomposition(ctx, p, components, identity_ok, cross_ok, projection_ok)
-
-
-def decompose_report(psi, p: Poly) -> Report:
-    dec = decompose(psi, p)
+    projection_ok = all(
+        act(UEAElement.from_poly(q_j * p_j), w_j) == w_j
+        for _, _, p_j, q_j, w_j in components
+    )
+    rows = [
+        {"xi": root, "multiplicity": mult, "p_j": str(p_j), "q_j": str(q_j), "w_j": str(w_j)}
+        for root, mult, p_j, q_j, w_j in components
+    ]
     return Report(
         check="decompose",
-        params={"p": str(dec.polynomial), "psi1": dec.context.psi.psi1,
-                "psi2": dec.context.psi.psi2},
-        passed=dec.passed,
+        params={"p": str(ctx.p), "psi1": ctx.psi.psi1, "psi2": ctx.psi.psi2},
+        passed=identity_ok and cross_ok and projection_ok,
         witness={
-            "components": [
-                {
-                    "xi": c.root,
-                    "multiplicity": c.multiplicity,
-                    "p_j": str(c.complement),
-                    "q_j": str(c.bezout),
-                    "w_j": str(c.generator),
-                }
-                for c in dec.components
-            ],
-            "bezout_identity": dec.identity_ok,
-            "cross_annihilation": dec.cross_ok,
-            "projection_idempotence": dec.projection_ok,
-            "elements": [str(c.generator) for c in dec.components],
+            "components": rows,
+            "bezout_identity": identity_ok,
+            "cross_annihilation": cross_ok,
+            "projection_idempotence": projection_ok,
+            "elements": [row["w_j"] for row in rows],
         },
     )
 
@@ -473,33 +422,7 @@ def decompose_report(psi, p: Poly) -> Report:
 # ---------------------------------------------------------------------------
 # composition series
 
-@dataclass
-class SeriesLevel:
-    index: int
-    generator: ModuleElement
-    nonzero_ok: bool            # generator != 0 below the top, == 0 at the top
-    proper_inclusion: bool      # generator outside the truncated next level
-    quotient_whittaker_dim: int | None
-
-
-@dataclass
-class CompositionSeries:
-    context: ModuleContext
-    xi: Fraction
-    length: int
-    levels: list[SeriesLevel]
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            lv.nonzero_ok
-            and lv.proper_inclusion
-            and (lv.quotient_whittaker_dim in (None, 1))
-            for lv in self.levels
-        )
-
-
-def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> CompositionSeries:
+def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> Report:
     """The chain generated by (z - xi)^i w, i = 0..a, in the quotient by
     (z - xi)^a.
 
@@ -511,19 +434,17 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     """
     if a < 1:
         raise ValueError("composition_series requires a >= 1")
-    psi = _as_psi(psi)
+    psi = ModuleContext.universal(psi).psi  # psi errors come before xi errors
     xi = to_rational(xi)
     if trunc is None:
-        trunc = TruncationSpec(max_degree=4, max_zero_count=2, max_z_power=2)
+        trunc = TruncationSpec()
     ctx = ModuleContext.quotient(psi, Poly.z_minus(xi) ** a)
     quotient_dim = len(whittaker_solve(ModuleContext.central_quotient(psi, xi), trunc))
-    levels = []
     generators = [ctx.poly_vector(Poly.z_minus(xi) ** i) for i in range(a + 1)]
-    for i in range(a + 1):
-        gen = generators[i]
-        nonzero_ok = gen.is_zero() if i == a else not gen.is_zero()
+    levels = []
+    for i, gen in enumerate(generators):
         if i == a:
-            proper = True
+            nonzero_ok, proper, dim = gen.is_zero(), True, None
         else:
             pivots: dict = {}
             nxt = generators[i + 1]
@@ -532,40 +453,16 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
                     img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), nxt)
                     if img:
                         _echelon_insert(pivots, dict(img._terms))
-            residue = _echelon_insert(pivots, dict(gen._terms))
-            proper = residue is not None
-        levels.append(
-            SeriesLevel(
-                index=i,
-                generator=gen,
-                nonzero_ok=nonzero_ok,
-                proper_inclusion=proper,
-                quotient_whittaker_dim=quotient_dim if i < a else None,
-            )
-        )
-    return CompositionSeries(ctx, xi, a, levels)
-
-
-def composition_series_report(psi, xi, a: int, trunc: TruncationSpec | None = None) -> Report:
-    series = composition_series(psi, xi, a, trunc)
+            proper = _echelon_insert(pivots, dict(gen._terms)) is not None
+            nonzero_ok, dim = not gen.is_zero(), quotient_dim
+        levels.append({"i": i, "generator": str(gen), "nonzero_ok": nonzero_ok,
+                       "proper_inclusion": proper, "quotient_whittaker_dim": dim})
     return Report(
         check="composition_series",
-        params={"xi": series.xi, "a": a, "psi1": series.context.psi.psi1,
-                "psi2": series.context.psi.psi2},
-        passed=series.passed,
-        witness={
-            "levels": [
-                {
-                    "i": lv.index,
-                    "generator": str(lv.generator),
-                    "nonzero_ok": lv.nonzero_ok,
-                    "proper_inclusion": lv.proper_inclusion,
-                    "quotient_whittaker_dim": lv.quotient_whittaker_dim,
-                }
-                for lv in series.levels
-            ],
-            "elements": [str(lv.generator) for lv in series.levels],
-        },
+        params={"xi": xi, "a": a, "psi1": psi.psi1, "psi2": psi.psi2},
+        passed=all(lv["nonzero_ok"] and lv["proper_inclusion"]
+                   and lv["quotient_whittaker_dim"] in (None, 1) for lv in levels),
+        witness={"levels": levels, "elements": [lv["generator"] for lv in levels]},
     )
 
 
@@ -588,12 +485,8 @@ def annihilator_normal_form(u: UEAElement, psi, p: Poly) -> AnnihilatorParts:
     annihilates the cyclic vector of the quotient by p exactly when the
     residual is zero.
     """
-    psi = _as_psi(psi)
-    if not isinstance(p, Poly):
-        p = Poly(p)
-    if p.degree < 1:
-        raise DomainError("annihilator normal form requires deg p >= 1")
-    p = p.monic()
+    ctx = ModuleContext.quotient(psi, p)
+    psi, p = ctx.psi, ctx.p
     tail_items: dict[int, list] = {}
     lower_items: list = []
     work = list(u._terms.items())

@@ -22,8 +22,8 @@ from .analysis import (
     Report,
     TruncationSpec,
     annihilator_normal_form,
-    composition_series_report,
-    decompose_report,
+    composition_series,
+    decompose,
     dot_orbit_dimension,
     jsonify,
     verify_degree_bounds,
@@ -89,21 +89,20 @@ def _module_json(elem) -> dict:
     return {"terms": elem.json_terms(), "text": str(elem)}
 
 
-def _print_report(report: Report, json_mode: bool, show_witness: bool = True):
+def _print_report(report: Report, json_mode: bool):
     if json_mode:
         _emit_json(report.json_dict())
         return
     headline = report.headline()
     status, _, rest = headline.partition("  ")
     print(f"{_status(report.passed)}  {rest}")
-    if show_witness:
-        for key, value in report.witness.items():
-            if key == "elements":
-                continue
-            rendered = jsonify(value)
-            if isinstance(rendered, (dict, list)):
-                rendered = json.dumps(rendered)
-            print(f"  {key}: {rendered}")
+    for key, value in report.witness.items():
+        if key == "elements":
+            continue
+        rendered = jsonify(value)
+        if isinstance(rendered, (dict, list)):
+            rendered = json.dumps(rendered)
+        print(f"  {key}: {rendered}")
 
 
 def cmd_straighten(args) -> int:
@@ -205,13 +204,13 @@ def _verify_all(args) -> int:
 
 def cmd_decompose(args) -> int:
     p = parse_poly(args.p)
-    report = decompose_report(_psi(args), p)
+    report = decompose(_psi(args), p)
     _print_report(report, args.json)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_series(args) -> int:
-    report = composition_series_report(
+    report = composition_series(
         _psi(args), to_rational(args.xi), args.a,
         TruncationSpec(args.maxdeg, args.zerocap),
     )

@@ -50,7 +50,7 @@ def _tokenize(text: str) -> list[Token]:
             if j < n and text[j] == "-":
                 j += 1
             start_digits = j
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == start_digits:
                 raise ExpressionError(
@@ -59,9 +59,9 @@ def _tokenize(text: str) -> list[Token]:
             out.append(Token("gen", int(text[i + 1:j]), i))
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             out.append(Token("num", int(text[i:j]), i))
             i = j

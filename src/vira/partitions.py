@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+#: Most parts a parsed pseudopartition may have; longer input is refused
+#: before its parts are built.
+MAX_PARTS = 10_000
+
 
 class Pseudopartition:
     """Immutable multiset of non-negative integer parts, kept sorted."""
@@ -39,14 +43,13 @@ class Pseudopartition:
         body = body.replace(",", " ")
         parts = []
         for token in body.split():
-            if "^" in token:
-                base, _, exp = token.partition("^")
-                m = int(exp)
-                if m < 0:
-                    raise ValueError(f"negative multiplicity in {token!r}")
-                parts.extend([int(base)] * m)
-            else:
-                parts.append(int(token))
+            base, caret, exp = token.partition("^")
+            m = int(exp) if caret else 1
+            if m < 0:
+                raise ValueError(f"negative multiplicity in {token!r}")
+            if len(parts) + m > MAX_PARTS:
+                raise ValueError(f"pseudopartition has more than {MAX_PARTS} parts")
+            parts.extend([int(base)] * m)
         return cls(parts)
 
     def mult(self, k: int) -> int:

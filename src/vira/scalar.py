@@ -301,8 +301,36 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 
 #: Largest trial divisor in the rational-root search.  A constant that
 #: leaves a cofactor above its square, with no prime factor up to it, is
-#: refused rather than factored: trial division would run for hours.
+#: refused rather than factored -- trial division would run for hours --
+#: unless the cofactor is provably prime.
 MAX_TRIAL_DIVISOR = 10**6
+
+#: Miller-Rabin to the first thirteen prime bases decides primality
+#: exactly below this bound, the least strong pseudoprime to all of them
+#: (Sorenson and Webster, Math. Comp. 2017); above it nothing is accepted
+#: as prime.  Twelve bases are not enough: 318665857834031151167461 =
+#: 399165290221 * 798330580441 passes every base up to 37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality of an odd n with 41 < n < MR_EXACT_BOUND."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _divisors(n: int) -> list[int]:
@@ -312,6 +340,8 @@ def _divisors(n: int) -> list[int]:
     p = 2
     while p * p <= n:
         if p > MAX_TRIAL_DIVISOR:
+            if n < MR_EXACT_BOUND and _is_prime(n):
+                break
             raise DomainError(f"rational-root search: cofactor {n} has no prime factor"
                               f" up to {MAX_TRIAL_DIVISOR}")
         layer = out

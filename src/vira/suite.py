@@ -15,9 +15,9 @@ from fractions import Fraction
 from .analysis import (
     Report,
     TruncationSpec,
-    composition_series_report,
-    decompose_report,
     annihilator_normal_form,
+    composition_series,
+    decompose,
     verify_degree_bounds,
     verify_leading_term,
     whittaker_solve,
@@ -292,10 +292,10 @@ def check_constructive_simplicity(seed: int = 0) -> Report:
 
 
 def check_decomposition() -> Report:
-    """Component decomposition along the roots of (z-1)^2 (z+3), plus the
-    additivity of truncated dimensions."""
+    """The split of the quotient by (z-1)^2 (z+3) along its roots, plus
+    the additivity of truncated dimensions."""
     p = (Poly.z_minus(1) ** 2) * Poly.z_minus(-3)
-    report = decompose_report(PSI_SAMPLES[0], p)
+    report = decompose(PSI_SAMPLES[0], p)
     trunc = TruncationSpec(3, 2, 2)
     whole = len(trunc.basis_keys(ModuleContext.quotient(PSI_SAMPLES[0], p)))
     parts_total = 0
@@ -312,7 +312,7 @@ def check_composition_series() -> Report:
     """Chains generated by powers of (z - xi): strict, with simple layers."""
     tally = _Tally()
     for psi, xi, a in ((PSI_SAMPLES[0], 0, 2), (PSI_SAMPLES[0], 1, 3), (PSI_SAMPLES[1], 0, 2)):
-        rep = composition_series_report(psi, xi, a)
+        rep = composition_series(psi, xi, a)
         tally.cell(rep.passed, rep.headline(), *rep.witness["elements"])
     return tally.report("composition_series", {"cases": "(xi=0,a=2), (xi=1,a=3)"},
                         count=None, cap=None)

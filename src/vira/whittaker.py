@@ -151,9 +151,9 @@ class ModuleContext:
     def element(self, terms=None) -> "ModuleElement":
         return ModuleElement(self, terms)
 
-    def w(self, coeff=1) -> "ModuleElement":
-        """The cyclic vector (scaled)."""
-        return ModuleElement(self, {(0, ()): coeff})
+    def w(self) -> "ModuleElement":
+        """The cyclic vector."""
+        return ModuleElement(self, {(0, ()): 1})
 
     def basis_vector(self, t: int, lam) -> "ModuleElement":
         parts = lam.parts if isinstance(lam, Pseudopartition) else tuple(lam)

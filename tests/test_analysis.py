@@ -19,6 +19,7 @@ from vira.analysis import (
     whittaker_solve,
 )
 from vira.errors import NotSplitError
+from vira.exprparse import parse_module, parse_poly
 from vira.partitions import Pseudopartition
 from vira.scalar import Poly
 from vira.virasoro import UEAElement, d, straighten
@@ -215,35 +216,41 @@ class TestDotOrbit:
 
 
 class TestDecompose:
+    @staticmethod
+    def _by_root(report):
+        return {c["xi"]: c for c in report.witness["components"]}
+
     def test_two_simple_roots(self):
         p = Poly.z_minus(1) * Poly.z_minus(2)
-        dec = decompose(PSI, p)
-        assert dec.passed
-        by_root = {c.root: c for c in dec.components}
-        assert by_root[1].bezout == Poly((-1,))
-        assert by_root[2].bezout == Poly((1,))
-        assert by_root[1].complement == Poly.z_minus(2)
-        assert by_root[2].complement == Poly.z_minus(1)
+        report = decompose(PSI, p)
+        assert report.passed
+        by_root = self._by_root(report)
+        assert parse_poly(by_root[1]["q_j"]) == Poly((-1,))
+        assert parse_poly(by_root[2]["q_j"]) == Poly((1,))
+        assert parse_poly(by_root[1]["p_j"]) == Poly.z_minus(2)
+        assert parse_poly(by_root[2]["p_j"]) == Poly.z_minus(1)
 
     def test_single_component(self):
-        dec = decompose(PSI, Poly.z_minus(Fraction(5, 7)) ** 3)
-        assert dec.passed
-        assert len(dec.components) == 1
-        comp = dec.components[0]
-        assert comp.complement == Poly.one()
-        assert comp.bezout == Poly.one()
-        assert comp.generator == dec.context.w()
+        p = Poly.z_minus(Fraction(5, 7)) ** 3
+        report = decompose(PSI, p)
+        assert report.passed
+        assert len(report.witness["components"]) == 1
+        comp = report.witness["components"][0]
+        assert parse_poly(comp["p_j"]) == Poly.one()
+        assert parse_poly(comp["q_j"]) == Poly.one()
+        ctx = ModuleContext.quotient(PSI, p)
+        assert parse_module(comp["w_j"], ctx) == ctx.w()
 
     def test_hand_bezout(self):
         p = (Poly.z_minus(1) ** 2) * Poly.z_minus(-3)
-        dec = decompose(PSI2, p)
-        assert dec.passed
-        by_root = {c.root: c for c in dec.components}
-        assert by_root[-3].bezout == Poly((Fraction(1, 16),))
-        assert by_root[1].bezout == Poly((Fraction(5, 16), Fraction(-1, 16)))
+        report = decompose(PSI2, p)
+        assert report.passed
+        by_root = self._by_root(report)
+        assert parse_poly(by_root[-3]["q_j"]) == Poly((Fraction(1, 16),))
+        assert parse_poly(by_root[1]["q_j"]) == Poly((Fraction(5, 16), Fraction(-1, 16)))
         total = Poly.zero()
-        for c in dec.components:
-            total = total + c.bezout * c.complement
+        for c in report.witness["components"]:
+            total = total + parse_poly(c["q_j"]) * parse_poly(c["p_j"])
         assert total == Poly.one()
 
     def test_not_split_propagates(self):
@@ -252,32 +259,38 @@ class TestDecompose:
 
     def test_pairwise_products_vanish_mod_p(self):
         p = (Poly.z_minus(1) ** 2) * Poly.z_minus(-3)
-        dec = decompose(PSI, p)
-        for i, ci in enumerate(dec.components):
-            for j, cj in enumerate(dec.components):
+        complements = [parse_poly(c["p_j"]) for c in decompose(PSI, p).witness["components"]]
+        assert len(complements) == 2
+        for i, pi in enumerate(complements):
+            for j, pj in enumerate(complements):
                 if i != j:
-                    prod = ci.complement * cj.complement
-                    assert (prod % p).is_zero()
+                    assert (pi * pj % p).is_zero()
 
 
 class TestCompositionSeries:
+    @staticmethod
+    def _generators(report, psi, xi, a):
+        ctx = ModuleContext.quotient(psi, Poly.z_minus(xi) ** a)
+        return [parse_module(lv["generator"], ctx) for lv in report.witness["levels"]]
+
     def test_simple_case(self):
         series = composition_series(PSI, Fraction(5, 7), 1)
         assert series.passed
-        assert len(series.levels) == 2
-        assert series.levels[0].quotient_whittaker_dim == 1
-        assert series.levels[1].generator.is_zero()
+        assert len(series.witness["levels"]) == 2
+        assert series.witness["levels"][0]["quotient_whittaker_dim"] == 1
+        assert self._generators(series, PSI, Fraction(5, 7), 1)[1].is_zero()
 
     def test_length_two(self):
         series = composition_series(PSI2, Fraction(1, 2), 2)
         assert series.passed
-        assert [lv.quotient_whittaker_dim for lv in series.levels] == [1, 1, None]
+        assert [lv["quotient_whittaker_dim"] for lv in series.witness["levels"]] == [1, 1, None]
 
     def test_zero_character_top_vanishes(self):
         series = composition_series(PSI, 0, 3)
         assert series.passed
-        assert series.levels[3].generator.is_zero()
-        assert not series.levels[2].generator.is_zero()
+        generators = self._generators(series, PSI, 0, 3)
+        assert generators[3].is_zero()
+        assert not generators[2].is_zero()
 
     def test_extraction_lands_in_expected_layer(self):
         # a Whittaker vector extracted from a chain layer is q(z) w with

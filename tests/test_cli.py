@@ -60,6 +60,15 @@ class TestStraighten:
         code, _, _ = run(capsys, "straighten", "d1*w")
         assert code == 2
 
+    @pytest.mark.parametrize("expr, offset", [("d\u00b2", 1), ("\u00b2", 0)])
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, expr, offset):
+        code, out, err = run(capsys, "straighten", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ")
+        assert f" at offset {offset}" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestAct:
     def test_module_action(self, capsys):
@@ -143,6 +152,16 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("domain error: negative multiplicity")
 
+    def test_overlong_lam_is_domain_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "dotspan", "--n", "1", "--i", "0", "--lam", "(1^100000000)",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: pseudopartition has more than 10000 parts\n"
+
     def test_vector_failure_is_exit_one(self, capsys):
         code, out, _ = run(capsys, "verify", "vector", "d-1*w", "--module", "M")
         assert code == 1
@@ -185,6 +204,10 @@ class TestDecompose:
         assert time.perf_counter() - start < 1
         assert code == 0
         assert len(json.loads(out)["witness"]["components"]) == 1
+        code, out, _ = run(capsys, "decompose", "--p", "z - 10000000000037", "--json")
+        assert code == 0
+        components = json.loads(out)["witness"]["components"]
+        assert [c["xi"] for c in components] == ["10000000000037"]
         code, out, err = run(capsys, "decompose", "--p", f"z - {1000003 * 1000033}")
         assert code == 3
         assert out == ""

@@ -42,6 +42,16 @@ class TestParsing:
             parse_expression("d1 & d2")
         assert err.value.offset == 3
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("d\u00b2", "expected an integer index after 'd'", 1),
+        ("\u00b2", "unexpected character", 0),
+    ])
+    def test_only_ascii_digits(self, text, message, offset):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert str(err.value).startswith(message)
+        assert err.value.offset == offset
+
     def test_whitespace_insensitive(self):
         assert parse_uea(" d2 * d-2 ") == parse_uea("d2*d-2")
 

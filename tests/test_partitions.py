@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vira.partitions import (
+    MAX_PARTS,
     Pseudopartition,
     enumerate_pseudopartitions,
     pseudopartitions_upto,
@@ -70,6 +71,14 @@ class TestPseudopartition:
         assert Pseudopartition.parse("(1^0,2)") == Pseudopartition((2,))
         for text in ("(1^-1,2)", "(2^-3)", "0^-1 1"):
             with pytest.raises(ValueError, match="negative multiplicity"):
+                Pseudopartition.parse(text)
+
+    def test_parse_caps_the_part_count(self):
+        assert MAX_PARTS == 10_000
+        assert Pseudopartition.parse(f"(1^{MAX_PARTS})").count == MAX_PARTS
+        assert Pseudopartition.parse(f"(0^{MAX_PARTS - 1},2)").count == MAX_PARTS
+        for text in (f"(1^{MAX_PARTS + 1})", f"(0^{MAX_PARTS},2)", "(1^100000000)"):
+            with pytest.raises(ValueError, match=f"more than {MAX_PARTS} parts"):
                 Pseudopartition.parse(text)
 
 

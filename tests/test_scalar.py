@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from vira.errors import DomainError, NotSplitError
 from vira.scalar import (
     MAX_TRIAL_DIVISOR,
+    MR_EXACT_BOUND,
     NEG_INF,
     Poly,
     _divisors,
@@ -171,6 +172,29 @@ class TestLinearFactorization:
             poly_linear_factorization(Poly.z_minus(1000003 * 1000033))
         assert f"no prime factor up to {bound}" in str(err.value)
         assert not isinstance(err.value, NotSplitError)
+
+    def test_prime_cofactor_is_a_divisor(self):
+        prime = 10000000000037
+        assert poly_linear_factorization(Poly.z_minus(prime)) == [(prime, 1)]
+        assert _divisors(2 * prime) == [1, 2, prime, 2 * prime]
+        assert poly_linear_factorization(Poly.z_minus(2) * Poly.z_minus(prime)) == [
+            (2, 1), (prime, 1),
+        ]
+
+    def test_strong_pseudoprime_to_twelve_bases_refused(self):
+        # passes Miller-Rabin to every prime base up to 37; the roots are
+        # its two factors, which a probable-prime answer would miss
+        a, b = 399165290221, 798330580441
+        with pytest.raises(DomainError) as err:
+            poly_linear_factorization(Poly.z_minus(a) * Poly.z_minus(b))
+        assert not isinstance(err.value, NotSplitError)
+        assert str(a * b) in str(err.value)
+
+    def test_prime_above_the_exact_bound_refused(self):
+        prime = 2 ** 89 - 1
+        assert prime > MR_EXACT_BOUND
+        with pytest.raises(DomainError):
+            _divisors(prime)
 
     @settings(max_examples=60, deadline=None)
     @given(

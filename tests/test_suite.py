@@ -46,7 +46,7 @@ def test_composition_series_lists_every_failure(monkeypatch):
     def failing(psi, xi, a):
         return Report(f"series xi={xi} a={a}", {}, False, {"elements": ["w", f"{a}*w"]})
 
-    monkeypatch.setattr(suite, "composition_series_report", failing)
+    monkeypatch.setattr(suite, "composition_series", failing)
     report = suite.check_composition_series()
     assert report.passed is False
     assert report.witness["failures"] == [
