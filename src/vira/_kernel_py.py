@@ -1,4 +1,4 @@
-"""Straightening and module-action kernel over ``Fraction``.
+"""Straightening and module-action kernel over Python ints.
 
 Callers import it through ``vira.kernel``.
 
@@ -10,11 +10,34 @@ Data model (plain builtins, shared with the element layer):
   is the non-decreasing tuple of non-negative integers lam such that the
   basis vector is z^z_power d_{-lam} w.
 
-Straightening rewrites the leftmost out-of-order adjacent pair
-d_a d_b (a > b) as d_b d_a + (b - a) d_{a+b} [+ (a^3 - a)/12 z when
-b = -a] and recurses; it terminates because each rewrite either shortens
-the word or removes one inversion.  Results are memoized per word; the
-returned dicts are shared and must not be mutated by callers.
+Integer coefficients.  The bracket is d_a d_b = d_b d_a + (b - a) d_{a+b}
+[+ (a^3 - a)/12 z when b = -a].  Inside the kernel the central element
+is c = z/2, and since 6 divides a^3 - a every coefficient is an integer:
+the central part is ((a^3 - a)/6) c.  Straightening works on
+``{(c_power, word): int}`` maps; a term leaves the kernel as
+``Fraction(n, 2**c_power)`` with z-power c_power.
+
+Insertion.  ``_insertion(a, w)`` builds the normal form of d_a w for a
+normal word w = (b, *rest) with a > b from
+d_a d_b rest = d_b (d_a rest) + (b - a) d_{a+b} rest [+ k c rest].
+A word is straightened by inserting its letters, from the right, into its
+longest normal suffix.  Insertions are generators that yield the
+insertions they need and are driven on an explicit stack by ``_drive``,
+so no input reaches the recursion limit; every request is strictly
+shorter than the insertion that makes it, so the stack never cycles.
+
+Head stripping.  An insertion d_a w is memoized on ``(a, w[:i])`` where
+i is the first index with w[i] >= M_i = a + (sum of the positive letters
+of w[:i]); the tail w[i:] is appended to every result word.  This is
+exact: brackets add indices, so every letter of d_a w[:i] in normal form
+is the sum of a disjoint subset of {a} and w[:i], which is at most M_i
+(when a <= 0, w[:i] holds only letters below a), and M_i <= w[i] <= every
+tail letter, so nothing ever moves into the tail.
+
+Memos: ``_straighten_cache`` maps each straightened word to its
+``Fraction`` normal form and ``_insert_cache`` maps ``(a, head)`` to the
+int normal form of d_a head.  Returned dicts are shared and must not be
+mutated by callers.
 
 The action is the product evaluated at w: the universal module is
 U(Vir) tensored over the positive half with the character psi, so
@@ -26,25 +49,115 @@ only place psi enters the kernel.
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 IMPL = "python"
 
-_ONE = Fraction(1)
-
 _straighten_cache = {}
+_insert_cache = {}
 
 
 def cache_clear():
     _straighten_cache.clear()
+    _insert_cache.clear()
 
 
 def cache_size():
+    """Number of words straightened and memoized."""
     return len(_straighten_cache)
+
+
+def insert_cache_size():
+    """Number of memoized insertions d_a * head."""
+    return len(_insert_cache)
 
 
 def central_coefficient(k):
     """Coefficient of z in the bracket of d_k with d_{-k}: (k^3 - k)/12."""
     return Fraction(k * k * k - k, 12)
+
+
+def _times(x, terms, out):
+    """Add d_x times each normal word of ``terms`` into ``out``, yielding
+    ``(x, word)`` for each insertion that is not a plain prepend."""
+    for (t, u), n in terms.items():
+        if not u or x <= u[0]:
+            key = (t, (x,) + u)
+            out[key] = out.get(key, 0) + n
+        else:
+            for (s, v), m in (yield x, u).items():
+                key = (t + s, v)
+                out[key] = out.get(key, 0) + n * m
+
+
+def _insertion(a, w):
+    """Normal form of d_a w for a normal word w with a > w[0]."""
+    b, rest = w[0], w[1:]
+    out = {}
+    yield from _times(b, (yield a, rest), out)
+    scale = b - a
+    for key, n in (yield a + b, rest).items():
+        out[key] = out.get(key, 0) + scale * n
+    if a + b == 0:
+        k = (a * a * a - a) // 6
+        if k:
+            key = (1, rest)
+            out[key] = out.get(key, 0) + k
+    return {key: n for key, n in out.items() if n}
+
+
+def _straightening(word):
+    """Normal form of d_{word[0]} ... d_{word[-1]}: its letters are
+    inserted, from the right, into its longest normal suffix."""
+    j = max(len(word) - 1, 0)
+    while j and word[j - 1] <= word[j]:
+        j -= 1
+    terms = {(0, word[j:]): 1}
+    for x in reversed(word[:j]):
+        out = {}
+        yield from _times(x, terms, out)
+        terms = {key: n for key, n in out.items() if n}
+    return terms
+
+
+def _drive(root):
+    """Run a straightening or insertion generator on an explicit stack.
+
+    Each request ``(a, w)`` is split into head and tail, answered from
+    ``_insert_cache`` or by a new insertion frame, and sent back with the
+    tail appended to every word.
+    """
+    stack = [(None, (), root)]
+    value = None
+    while True:
+        key, tail, frame = stack[-1]
+        try:
+            a, w = frame.send(value)
+        except StopIteration as done:
+            value = done.value
+            stack.pop()
+            if key is None:
+                return value
+            _insert_cache[key] = value
+        else:
+            bound = a
+            i = 0
+            for x in w:
+                if x >= bound:
+                    break
+                if x > 0:
+                    bound += x
+                i += 1
+            if not i:
+                value = {(0, (a,) + w): 1}
+                continue
+            key, tail = (a, w[:i]), w[i:]
+            value = _insert_cache.get(key)
+            if value is None:
+                stack.append((key, tail, _insertion(a, w[:i])))
+                continue
+        if tail:
+            value = {(t, u + tail): n for (t, u), n in value.items()}
 
 
 def straighten_word(word):
@@ -55,54 +168,43 @@ def straighten_word(word):
     cached = _straighten_cache.get(word)
     if cached is not None:
         return cached
-    inv = -1
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            inv = i
-            break
-    if inv < 0:
-        result = {(0, word): _ONE}
-        _straighten_cache[word] = result
-        return result
-    a = word[inv]
-    b = word[inv + 1]
-    head = word[:inv]
-    tail = word[inv + 2:]
-    acc = {}
-    for key, c in straighten_word(head + (b, a) + tail).items():
-        acc[key] = acc.get(key, 0) + c
-    scale = Fraction(b - a)
-    for key, c in straighten_word(head + (a + b,) + tail).items():
-        acc[key] = acc.get(key, 0) + scale * c
-    if b == -a:
-        cc = central_coefficient(a)
-        if cc:
-            for (dz, w), c in straighten_word(head + tail).items():
-                key = (dz + 1, w)
-                acc[key] = acc.get(key, 0) + cc * c
-    result = {key: c for key, c in acc.items() if c}
+    result = {
+        (t, u): Fraction(n, 1 << t)
+        for (t, u), n in _drive(_straightening(word)).items()
+    }
     _straighten_cache[word] = result
     return result
 
 
 def multiply_terms(a, b):
     """Product of two UEA term maps (normal words), straightened into
-    normal form."""
+    normal form.
+
+    Each operand is scaled to the lcm of its denominators; a key of
+    z-power T accumulates an int numerator over ``da * db * 2**T`` and
+    becomes one ``Fraction`` at the end.
+    """
+    da = lcm(*(c.denominator for c in a.values()))
+    db = lcm(*(c.denominator for c in b.values()))
+    b_ints = [(tb, wb, c.numerator * (db // c.denominator)) for (tb, wb), c in b.items()]
     out = {}
     for (ta, wa), ca in a.items():
-        for (tb, wb), cb in b.items():
-            c0 = ca * cb
+        na = ca.numerator * (da // ca.denominator)
+        for tb, wb, nb in b_ints:
+            n0 = na * nb
             t0 = ta + tb
             if not wa or not wb or wa[-1] <= wb[0]:
                 # two normal words whose concatenation is already normal
                 key = (t0, wa + wb)
-                out[key] = out.get(key, 0) + c0
+                out[key] = out.get(key, 0) + (n0 << t0)
                 continue
             for (dz, w), c in straighten_word(wa + wb).items():
+                # c = p / 2**s with s <= dz; over da * db * 2**(t0 + dz)
                 key = (t0 + dz, w)
-                cur = out.get(key)
-                out[key] = c0 * c if cur is None else cur + c0 * c
-    return {key: c for key, c in out.items() if c}
+                shift = t0 + dz + 1 - c.denominator.bit_length()
+                out[key] = out.get(key, 0) + ((n0 * c.numerator) << shift)
+    d = da * db
+    return {(t, w): Fraction(n, d << t) for (t, w), n in out.items() if n}
 
 
 def act_terms(u_terms, v_terms, psi1, psi2):

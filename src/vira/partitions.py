@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 #: Most parts a parsed pseudopartition may have; longer input is refused
 #: before its parts are built.
-MAX_PARTS = 10_000
+MAX_PARTS = 1_000
 
 
 class Pseudopartition:

@@ -1,6 +1,13 @@
-"""The straightening kernel's memo controls and bracket coefficient."""
+"""The straightening kernel: memo controls, bracket coefficient, and parity
+with the reference ``Fraction`` kernel on words, products and actions."""
 
+import random
 from fractions import Fraction
+
+import fraction_kernel as oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vira import kernel
 
@@ -8,10 +15,21 @@ from vira import kernel
 def test_cache_controls():
     kernel.cache_clear()
     assert kernel.cache_size() == 0
+    assert kernel.insert_cache_size() == 0
     kernel.straighten_word((3, -3))
-    assert kernel.cache_size() > 0
+    assert kernel.cache_size() == 1
+    assert kernel.insert_cache_size() > 0
     kernel.cache_clear()
     assert kernel.cache_size() == 0
+    assert kernel.insert_cache_size() == 0
+
+
+def test_cache_size_counts_words_straightened():
+    kernel.cache_clear()
+    kernel.straighten_word((2, 1, -1, -2))
+    kernel.straighten_word((2, 1, -1, -2))
+    kernel.straighten_word((1, -1))
+    assert kernel.cache_size() == 2
 
 
 def test_central_coefficient():
@@ -28,3 +46,105 @@ def test_normal_concatenation_is_not_straightened():
     assert kernel.cache_size() == 0
     assert product == {(1, (-1, 0, 0, 2)): Fraction(-6, 5), (0, (-1, 0)): Fraction(2)}
     assert kernel.straighten_word((-1, 0, 0, 2)) == {(0, (-1, 0, 0, 2)): 1}
+
+
+def test_hostile_word_needs_no_recursion():
+    kernel.cache_clear()
+    result = kernel.straighten_word((1,) * 45 + (-1,) * 45)
+    assert result[(0, (-1,) * 45 + (1,) * 45)] == 1
+    assert all(c.denominator == 1 for c in result.values())
+    assert kernel.insert_cache_size() < 2000
+    kernel.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# parity with the reference kernel
+
+def _clear():
+    kernel.cache_clear()
+    oracle.cache_clear()
+
+
+def _word(rng):
+    # positive letters ahead of larger ones exercise head stripping
+    return tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 7)))
+
+
+def _terms(rng, max_len=4, parts=False):
+    out = {}
+    for _ in range(rng.randint(0, 3)):
+        letters = sorted(rng.randint(0 if parts else -4, 4) for _ in range(rng.randint(0, max_len)))
+        coeff = Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.randint(1, 6))
+        out[(rng.randint(0, 2), tuple(letters))] = coeff
+    return out
+
+
+PSI = (Fraction(3, 2), Fraction(-2, 5))
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-memo", "shared-memo"])
+def test_words_match_reference(fresh):
+    rng = random.Random(20)
+    _clear()
+    for _ in range(1500):
+        if fresh:
+            _clear()
+        word = _word(rng)
+        assert kernel.straighten_word(word) == oracle.straighten_word(word), word
+
+
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-memo", "shared-memo"])
+def test_products_and_actions_match_reference(fresh):
+    rng = random.Random(21)
+    _clear()
+    for _ in range(400):
+        if fresh:
+            _clear()
+        a, b = _terms(rng), _terms(rng)
+        assert kernel.multiply_terms(a, b) == oracle.multiply_terms(a, b), (a, b)
+        v = _terms(rng, parts=True)
+        assert kernel.act_terms(a, v, *PSI) == oracle.act_terms(a, v, *PSI), (a, v)
+
+
+def test_stripped_heads_are_reused_exactly():
+    # d_3 into (-2, 1, 4, 4, 9): M runs 3, 3, 4 and 4 >= 4, so the memo key
+    # is (3, (-2, 1)) and the tail (4, 4, 9) is carried through unchanged;
+    # other tails reuse that entry and add none
+    _clear()
+    word = (3, -2, 1, 4, 4, 9)
+    assert kernel.straighten_word(word) == oracle.straighten_word(word)
+    inserted = kernel.insert_cache_size()
+    for tail in [(4,), (5, 5), (4, 6, 100)]:
+        word = (3, -2, 1) + tail
+        assert kernel.straighten_word(word) == oracle.straighten_word(word)
+    assert kernel.insert_cache_size() == inserted
+
+
+letters = st.integers(-4, 4)
+words = st.lists(letters, max_size=7).map(tuple)
+coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+uea_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.lists(letters, max_size=4).map(lambda w: tuple(sorted(w)))),
+    coeffs, max_size=3,
+)
+module_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.lists(st.integers(0, 4), max_size=4).map(lambda w: tuple(sorted(w)))),
+    coeffs, max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words, st.booleans())
+def test_word_property(word, fresh):
+    if fresh:
+        _clear()
+    assert kernel.straighten_word(word) == oracle.straighten_word(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(uea_terms, uea_terms, module_terms, st.booleans())
+def test_product_and_action_property(a, b, v, fresh):
+    if fresh:
+        _clear()
+    assert kernel.multiply_terms(a, b) == oracle.multiply_terms(a, b)
+    assert kernel.act_terms(a, v, *PSI) == oracle.act_terms(a, v, *PSI)

@@ -2,7 +2,8 @@
 
 ``perfbench/reference.json`` holds the digest of exit code and stdout for
 each query the query-stream workload can draw; the short ones run in
-about a second, so any change to what a verb prints shows up here.
+about a second and the deep words ``d1^k*d-1^k`` (k = 8..12) in
+milliseconds, so any change to what a verb prints shows up here.
 """
 
 import json
@@ -28,3 +29,11 @@ def test_short_queries_match_reference():
         if cli_digest(code, stdout) != query["digest"]:
             differ.append(query["argv"])
     assert not differ, f"{len(differ)} queries differ, first {differ[0]}"
+
+
+def test_deep_words_match_reference():
+    deep = [q for q in REFERENCE["query-stream"] if q["kind"] == "deep"]
+    assert [q["argv"][1] for q in deep] == [f"d1^{k}*d-1^{k}" for k in range(8, 13)]
+    for query in deep:
+        code, stdout, _stderr = run_cli(query["argv"])
+        assert cli_digest(code, stdout) == query["digest"], query["argv"]
