@@ -2,9 +2,12 @@
 
 Everything here reduces to exact rational computation: the Whittaker
 solver builds its constraint system from exact dot-action images (the
-truncation only restricts the search space, never the equations), the
-verifiers compute both sides of an identity and compare, and all span
-and rank checks run a deterministic sparse echelon reduction over Q.
+truncation only restricts the search space, never the equations), and
+the verifiers compute both sides of an identity and compare.  The solver
+and ``nullspace()`` eliminate mod a prime, lift the nullspace by rational
+reconstruction and certify the lift exactly over Q, falling back to the
+echelon over Q; their basis is the exact one.  Spans, ranks, orbits and
+series run the deterministic sparse echelon over Q.
 
 Results meant for display are wrapped in ``Report`` records that render
 either as aligned text or as the stable JSON shape
@@ -16,9 +19,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from .partitions import Pseudopartition, pseudopartitions_upto
+from .partitions import Pseudopartition, partition_counts, pseudopartitions_upto
 from .scalar import NEG_INF, Poly, poly_divmod, poly_ext_gcd, poly_linear_factorization, to_rational
 from .virasoro import UEAElement, commutator, merge_terms, poly_terms
 from .whittaker import ModuleContext, ModuleElement, act, dot_act
@@ -28,32 +32,47 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
+# linear algebra: one echelon, over Q or mod p
 
-def _echelon_insert(pivots: dict, row: dict):
+#: Primes of the modular nullspace, tried in turn.
+_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+def _echelon_insert(pivots: dict, row: dict, p: int = 0):
     """Reduce ``row`` against the pivot rows and install it.
 
     Columns may be any mutually comparable keys.  ``pivots`` maps a pivot
     column to its normalized row (pivot entry 1).  Returns the new pivot
     column, or None when the row reduces to zero.  The pivot of a row is
     always its smallest remaining column, which makes the resulting
-    pivot-column set independent of insertion order.
+    pivot-column set independent of insertion order.  The row is
+    consumed.  With ``p = 0`` entries are rationals; with a prime ``p``
+    they are ints in [0, p), the pivot row is scaled by the inverse of
+    its lead mod p and every update is reduced mod p.
     """
     while row:
         c = min(row)
         piv = pivots.get(c)
         if piv is None:
             lead = row.pop(c)
-            normalized = {c: _ONE}
-            for j, v in row.items():
-                normalized[j] = v / lead
+            if p:
+                inv = pow(lead, -1, p)
+                normalized = {c: 1}
+                for j, v in row.items():
+                    normalized[j] = v * inv % p
+            else:
+                normalized = {c: _ONE}
+                for j, v in row.items():
+                    normalized[j] = v / lead
             pivots[c] = normalized
             return c
         f = row.pop(c)
         for j, v in piv.items():
             if j == c:
                 continue
-            nv = row.get(j, _ZERO) - f * v
+            nv = row.get(j, 0) - f * v
+            if p:
+                nv %= p
             if nv:
                 row[j] = nv
             else:
@@ -61,32 +80,138 @@ def _echelon_insert(pivots: dict, row: dict):
     return None
 
 
-def _nullspace_from_pivots(pivots: dict, ncols: int) -> list[tuple]:
+def _nullspace_from_pivots(pivots: dict, ncols: int, p: int = 0) -> list[tuple]:
     """Canonical nullspace basis: one vector per free column, equal to 1
-    there and solved through the pivot rows everywhere else."""
+    there and solved through the pivot rows everywhere else (mod ``p``
+    when it is nonzero)."""
+    zero, one = (0, 1) if p else (_ZERO, _ONE)
+    order = sorted(pivots, reverse=True)
     basis = []
     for free_col in range(ncols):
         if free_col in pivots:
             continue
-        x = {free_col: _ONE}
-        for c in sorted(pivots, reverse=True):
-            s = _ZERO
+        x = {free_col: one}
+        for c in order:
+            s = 0
             for j, v in pivots[c].items():
                 if j != c:
                     xj = x.get(j)
                     if xj is not None:
                         s += v * xj
-            if s:
+            if p:
+                s = -s % p
+                if s:
+                    x[c] = s
+            elif s:
                 x[c] = -s
-        basis.append(tuple(x.get(j, _ZERO) for j in range(ncols)))
+        basis.append(tuple(x.get(j, zero) for j in range(ncols)))
     return basis
 
 
-def _row_pivots(rows) -> tuple[dict, int]:
-    """Echelon pivots of a dense matrix given as a list of rows, and its
-    column count.  Entries go through ``to_rational``; ragged rows raise
-    ValueError."""
+def _reduce_row(row: dict, p: int) -> dict | None:
+    """The row mod p, zero entries dropped, or None when an entry's
+    denominator is divisible by p."""
+    out = {}
+    for j, v in row.items():
+        if v.denominator % p == 0:
+            return None
+        r = v.numerator * pow(v.denominator, -1, p) % p
+        if r:
+            out[j] = r
+    return out
+
+
+def _reconstruct(u: int, p: int) -> Fraction | None:
+    """The rational a/b with a = b*u mod p and |a|, b <= sqrt(p/2), or
+    None when there is none (Wang's rational reconstruction)."""
+    if not u:
+        return _ZERO
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _modular_candidate(rows: list[dict], ncols: int, p: int) -> list[tuple] | None:
+    """The canonical nullspace mod p lifted to Q, or None when a
+    denominator vanishes mod p or an entry has no reconstruction."""
     pivots: dict = {}
+    for row in rows:
+        reduced = _reduce_row(row, p)
+        if reduced is None:
+            return None
+        _echelon_insert(pivots, reduced, p)
+    lifted = []
+    for vec in _nullspace_from_pivots(pivots, ncols, p):
+        entries = tuple(_reconstruct(u, p) for u in vec)
+        if None in entries:
+            return None
+        lifted.append(entries)
+    return lifted
+
+
+def _annihilates(rows: list[dict], basis: list[tuple]) -> bool:
+    """True when every row dotted with every basis vector is exactly 0."""
+    for vec in basis:
+        support = {j: x for j, x in enumerate(vec) if x}
+        for row in rows:
+            s = 0
+            for j, c in row.items():
+                x = support.get(j)
+                if x is not None:
+                    s += c * x
+            if s:
+                return False
+    return True
+
+
+def _certified_nullspace(rows: list[dict], ncols: int) -> list[tuple]:
+    """Canonical nullspace basis of sparse rational rows over ``ncols``
+    columns, the same basis as the exact echelon's, found mod p.
+
+    For each prime of ``_PRIMES`` the rows are reduced mod p as they are
+    inserted, the canonical nullspace mod p is lifted entrywise by
+    rational reconstruction, and the lift is certified: every row dotted
+    with every lifted vector must be exactly 0 over Q.  The first
+    certified lift is returned; a denominator divisible by p, a failed
+    reconstruction or a failed certificate moves on to the next prime,
+    and if none certifies, the exact echelon over Q runs.
+
+    Why a certified lift is the exact basis.  Write N_Q for the nullspace
+    over Q and F_p, F_Q for the free columns mod p and over Q.
+    (1) Reduction mod p cannot raise the rank, so rank mod p <= rank over
+    Q and |F_p| >= dim N_Q.  (2) The certified vectors lie in N_Q and are
+    the identity on F_p, so they are independent: dim N_Q >= |F_p|, and
+    the two are equal.  (3) The vector of free column f mod p is 1 at f
+    and 0 past f, since each pivot row lies on and right of its pivot;
+    reconstruction maps 0 to 0 and nothing else to 0, so the lift too has
+    its largest nonzero index at f.  For any nonzero v in N_Q the largest nonzero
+    index m is a free column over Q: were it a pivot column, its pivot
+    row r (entries at columns >= m, r_m = 1) would give r.v = v_m != 0.
+    So F_p lies in F_Q, and the sizes being equal, F_p = F_Q.  (4) By
+    (3) a vector of N_Q that vanishes on F_Q is 0, so the basis of N_Q
+    that is the identity on F_Q is unique; the certified lift is it.
+    """
+    for p in _PRIMES:
+        basis = _modular_candidate(rows, ncols, p)
+        if basis is not None and _annihilates(rows, basis):
+            return basis
+    pivots: dict = {}
+    for row in rows:
+        _echelon_insert(pivots, dict(row))
+    return _nullspace_from_pivots(pivots, ncols)
+
+
+def _sparse_rows(rows) -> tuple[list[dict], int]:
+    """A dense matrix, given as a list of rows, as sparse rational rows
+    and its column count.  Entries go through ``to_rational``; ragged
+    rows raise ValueError."""
+    sparse = []
     ncols = None
     for row in rows:
         row = [to_rational(v) for v in row]
@@ -94,22 +219,30 @@ def _row_pivots(rows) -> tuple[dict, int]:
             ncols = len(row)
         elif len(row) != ncols:
             raise ValueError("matrix rows must have equal length")
-        _echelon_insert(pivots, {j: v for j, v in enumerate(row) if v})
-    return pivots, ncols or 0
+        sparse.append({j: v for j, v in enumerate(row) if v})
+    return sparse, ncols or 0
 
 
 def nullspace(rows) -> list[tuple]:
     """Exact nullspace basis of a rational matrix, in canonical form
     (identity on the free columns, deterministic pivot order)."""
-    return _nullspace_from_pivots(*_row_pivots(rows))
+    return _certified_nullspace(*_sparse_rows(rows))
 
 
 def rank(rows) -> int:
-    return len(_row_pivots(rows)[0])
+    pivots: dict = {}
+    for row in _sparse_rows(rows)[0]:
+        _echelon_insert(pivots, row)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
 # truncation windows
+
+#: Most unknowns a solver or span window may have (L:xi=0 at N=14, Z=3
+#: has 2032); a larger window is refused before its basis is built.
+MAX_UNKNOWNS = 5000
+
 
 @dataclass(frozen=True)
 class TruncationSpec:
@@ -129,8 +262,17 @@ class TruncationSpec:
             raise ValueError("truncation caps must be non-negative")
 
     def basis_keys(self, ctx: ModuleContext) -> list[tuple[int, tuple]]:
+        """The window's basis keys (z-power, parts).  A window of more than
+        ``MAX_UNKNOWNS`` keys raises ValueError; the keys are counted,
+        (Z+1) * zcount per partition of each size up to N, before any is
+        built."""
         zdim = ctx.z_dimension()
         zcount = self.max_z_power + 1 if zdim is None else zdim
+        unknowns = 0
+        for _size, count in zip(range(self.max_degree + 1), partition_counts()):
+            unknowns += (self.max_zero_count + 1) * zcount * count
+            if unknowns > MAX_UNKNOWNS:
+                raise ValueError(f"truncation window has more than {MAX_UNKNOWNS} unknowns")
         return [
             (t, lam.parts)
             for lam in pseudopartitions_upto(self.max_degree, self.max_zero_count)
@@ -190,7 +332,8 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
     The unknown vector ranges over the truncated basis; the conditions
     (d_1 and d_2 dot-annihilate it) are imposed on the full exact images,
     which may leave the truncated span -- so no spurious solutions arise
-    from discarded terms.
+    from discarded terms.  The system is solved by the certified modular
+    nullspace, whose basis is the exact echelon's.
     """
     keys = trunc.basis_keys(ctx)
     equations: dict = {}
@@ -199,12 +342,9 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
         for n in (1, 2):
             for key2, c in dot_act(n, b)._terms.items():
                 equations.setdefault((n,) + key2, {})[i] = c
-    pivots: dict = {}
-    for eqkey in sorted(equations):
-        # the echelon consumes the row; popping it frees its fill-in
-        _echelon_insert(pivots, equations.pop(eqkey))
+    rows = [equations[eqkey] for eqkey in sorted(equations)]
     out = []
-    for vec in _nullspace_from_pivots(pivots, len(keys)):
+    for vec in _certified_nullspace(rows, len(keys)):
         terms = {keys[i]: c for i, c in enumerate(vec) if c}
         out.append(ModuleElement._raw(ctx, terms))
     return out
@@ -439,6 +579,7 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     if trunc is None:
         trunc = TruncationSpec()
     ctx = ModuleContext.quotient(psi, Poly.z_minus(xi) ** a)
+    keys = trunc.basis_keys(ctx)
     quotient_dim = len(whittaker_solve(ModuleContext.central_quotient(psi, xi), trunc))
     generators = [ctx.poly_vector(Poly.z_minus(xi) ** i) for i in range(a + 1)]
     levels = []
@@ -449,7 +590,7 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
             pivots: dict = {}
             nxt = generators[i + 1]
             if not nxt.is_zero():
-                for (t, parts) in trunc.basis_keys(ctx):
+                for (t, parts) in keys:
                     img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), nxt)
                     if img:
                         _echelon_insert(pivots, dict(img._terms))

@@ -11,6 +11,7 @@ the zero direction, so the number of zero parts is always capped.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import count
 
 #: Most parts a parsed pseudopartition may have; longer input is refused
 #: before its parts are built.
@@ -117,6 +118,23 @@ def _ascending_partitions(n: int, min_part: int = 1):
     for first in range(min_part, n + 1):
         for rest in _ascending_partitions(n - first, first):
             yield (first, *rest)
+
+
+def partition_counts():
+    """Yield p(0), p(1), p(2), ...: the number of partitions of each size,
+    by Euler's pentagonal-number recurrence."""
+    counts = [1]
+    yield 1
+    for n in count(1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * counts[n - k * (3 * k + 1) // 2]
+            k += 1
+        counts.append(total)
+        yield total
 
 
 def enumerate_pseudopartitions(size: int, max_zero_count: int) -> list[Pseudopartition]:

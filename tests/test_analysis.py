@@ -2,10 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vira import analysis
 from vira.analysis import (
+    MAX_UNKNOWNS,
     TruncationSpec,
     annihilator_normal_form,
     composition_series,
@@ -20,7 +26,7 @@ from vira.analysis import (
 )
 from vira.errors import NotSplitError
 from vira.exprparse import parse_module, parse_poly
-from vira.partitions import Pseudopartition
+from vira.partitions import Pseudopartition, partition_counts
 from vira.scalar import Poly
 from vira.virasoro import UEAElement, d, straighten
 from vira.whittaker import (
@@ -74,6 +80,143 @@ class TestNullspace:
             nullspace([[1, 2], [3]])
         with pytest.raises(ValueError):
             rank([[1], [2, 3]])
+
+
+def exact_nullspace(rows):
+    """The oracle: the echelon over Q and its canonical nullspace."""
+    ncols = len(rows[0]) if rows else 0
+    pivots: dict = {}
+    for row in rows:
+        analysis._echelon_insert(pivots, {j: Fraction(v) for j, v in enumerate(row) if v})
+    return analysis._nullspace_from_pivots(pivots, ncols)
+
+
+def candidate_log():
+    """Patch ``_modular_candidate`` to record (prime, refused) per call."""
+    log = []
+    original = analysis._modular_candidate
+
+    def spy(rows, ncols, p):
+        basis = original(rows, ncols, p)
+        log.append((p, basis is None))
+        return basis
+
+    return log, mock.patch.object(analysis, "_modular_candidate", spy)
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+huge_rationals = st.builds(
+    Fraction,
+    st.integers(10**29, 10**80) | st.integers(-10**80, -10**29),
+    st.integers(10**29, 10**80),
+)
+entries = st.one_of(small_rationals, small_rationals, st.just(Fraction(0)), huge_rationals)
+
+
+@st.composite
+def rational_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    # a combination of earlier rows keeps some matrices rank deficient
+    if draw(st.booleans()):
+        a, b = draw(small_rationals), draw(entries)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+class TestCertifiedNullspace:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_equals_exact_echelon(self, rows):
+        assert nullspace(rows) == exact_nullspace(rows)
+
+    def test_false_modular_kernel_is_rejected(self):
+        # mod 7 the row [7] vanishes and claims the kernel [(1,)]
+        with mock.patch.object(analysis, "_PRIMES", (7,)):
+            assert nullspace([[7]]) == []
+
+    def test_false_reconstruction_is_rejected(self):
+        # mod 2^61-1 the lift is a small rational that certification
+        # rejects; the larger primes cannot reconstruct, so Q decides
+        a, b = 10**40 + 39, 10**40 + 1
+        log, spy = candidate_log()
+        with spy:
+            assert nullspace([[a, b]]) == [(Fraction(-b, a), 1)]
+        assert log == [(2**61 - 1, False), (2**89 - 1, True), (2**127 - 1, True)]
+
+    def test_reconstruction_moves_to_a_wider_prime(self):
+        a, b = 10**12 + 39, 10**12 + 1
+        log, spy = candidate_log()
+        with spy:
+            assert nullspace([[a, b]]) == [(Fraction(-b, a), 1)]
+        assert log == [(2**61 - 1, True), (2**89 - 1, False)]
+
+    def test_denominator_divisible_by_prime_moves_on(self):
+        ctx = ModuleContext.universal((1, Fraction(1, 3)))
+        log, spy = candidate_log()
+        with spy, mock.patch.object(analysis, "_PRIMES", (3, 2**61 - 1)):
+            basis = whittaker_solve(ctx, TruncationSpec(3, 1, 1))
+        assert log == [(3, True), (2**61 - 1, False)]
+        with mock.patch.object(analysis, "_PRIMES", ()):
+            assert basis == whittaker_solve(ctx, TruncationSpec(3, 1, 1))
+        assert [str(b) for b in basis] == ["w", "z*w"]
+
+    def test_modular_echelon_keeps_pivots(self):
+        rng = random.Random(5)
+        p = 2**61 - 1
+        for _ in range(20):
+            rows = [{j: rng.randint(-3, 3) for j in range(6)} for _ in range(rng.randint(1, 6))]
+            exact: dict = {}
+            modular: dict = {}
+            for row in rows:
+                got = analysis._echelon_insert(modular, {j: v % p for j, v in row.items() if v}, p)
+                want = analysis._echelon_insert(exact, {j: Fraction(v) for j, v in row.items() if v})
+                assert got == want
+            for c, row in modular.items():
+                assert all(0 <= v < p for v in row.values()) and row[c] == 1
+
+
+nonzero_rationals = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
+solver_contexts = st.one_of(
+    st.builds(lambda psi: (ModuleContext.universal(psi), 2), st.tuples(nonzero_rationals, nonzero_rationals)),
+    st.builds(lambda psi, xi: (ModuleContext.central_quotient(psi, xi), 0),
+              st.tuples(nonzero_rationals, nonzero_rationals), small_rationals),
+    st.builds(lambda psi, xi: (ModuleContext.quotient(psi, Poly.z_minus(xi) ** 2 * Poly.z_minus(1)), 0),
+              st.tuples(nonzero_rationals, nonzero_rationals), small_rationals),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(solver_contexts, st.integers(0, 4), st.integers(0, 2), st.integers(0, 2))
+def test_solver_equals_exact_echelon(ctx_tcap, n_cap, z_cap, t_cap):
+    ctx, t_max = ctx_tcap
+    trunc = TruncationSpec(n_cap, z_cap, min(t_cap, t_max))
+    basis = whittaker_solve(ctx, trunc)
+    with mock.patch.object(analysis, "_PRIMES", ()):
+        assert basis == whittaker_solve(ctx, trunc)
+    assert all(is_whittaker_vector(b) for b in basis)
+
+
+class TestTruncationSpec:
+    def test_counts_match_enumeration(self):
+        contexts = [ModuleContext.universal(PSI), ModuleContext.quotient(PSI, Poly.z_minus(1) ** 3)]
+        for ctx in contexts:
+            zcount = ctx.z_dimension()
+            for n_cap in range(6):
+                for z_cap in range(3):
+                    for t_cap in range(3):
+                        keys = TruncationSpec(n_cap, z_cap, t_cap).basis_keys(ctx)
+                        partitions = sum(islice(partition_counts(), n_cap + 1))
+                        assert len(keys) == (z_cap + 1) * (zcount or t_cap + 1) * partitions
+
+    def test_largest_window_in_use_is_allowed(self):
+        ctx = ModuleContext.central_quotient(PSI2, 0)
+        assert len(TruncationSpec(14, 3, 0).basis_keys(ctx)) == 2032 <= MAX_UNKNOWNS
+
+    @pytest.mark.parametrize("caps", [(1, 1, 100_000_000), (80, 0, 0), (10**30, 0, 0)])
+    def test_oversized_window_is_refused(self, caps):
+        with pytest.raises(ValueError, match=f"more than {MAX_UNKNOWNS} unknowns"):
+            TruncationSpec(*caps).basis_keys(ModuleContext.universal(PSI))
 
 
 class TestWhittakerSolve:

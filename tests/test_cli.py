@@ -129,6 +129,23 @@ class TestSolve:
         assert payload["witness"]["dimension"] == 3
         assert payload["witness"]["basis"] == ["w", "z*w", "z^2*w"]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--module", "M", "--psi1", "1", "--psi2", "1",
+         "--maxdeg", "1", "--zerocap", "1", "--zcap", "100000000"],
+        ["solve", "--module", "M", "--psi1", "1", "--psi2", "1",
+         "--maxdeg", "80", "--zerocap", "0", "--zcap", "0"],
+        ["series", "--xi", "1", "--a", "2", "--maxdeg", "80"],
+        ["series", "--xi", "1", "--a", "300"],
+    ])
+    def test_oversized_window_is_domain_error(self, capsys, argv):
+        # these once ran out of memory or past a 30 s timeout
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: truncation window has more than 5000 unknowns\n"
+
 
 class TestVerify:
     def test_leading_passes(self, capsys):

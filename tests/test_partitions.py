@@ -1,5 +1,7 @@
 """Pseudopartitions: exponent notation, size and count, bounded enumeration."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from vira.partitions import (
     MAX_PARTS,
     Pseudopartition,
     enumerate_pseudopartitions,
+    partition_counts,
     pseudopartitions_upto,
 )
 
@@ -26,6 +29,10 @@ def partition_count_oracle(n: int) -> int:
 
 def test_oracle_matches_frozen_counts():
     assert [partition_count_oracle(n) for n in range(13)] == PARTITION_COUNTS
+
+
+def test_pentagonal_counts_match_oracle():
+    assert list(islice(partition_counts(), 60)) == [partition_count_oracle(n) for n in range(60)]
 
 
 class TestPseudopartition:
