@@ -35,16 +35,20 @@ is the sum of a disjoint subset of {a} and w[:i], which is at most M_i
 tail letter, so nothing ever moves into the tail.
 
 Memos: ``_straighten_cache`` maps each straightened word to its
-``Fraction`` normal form and ``_insert_cache`` maps ``(a, head)`` to the
-int normal form of d_a head.  Returned dicts are shared and must not be
-mutated by callers.
+``Fraction`` normal form, ``_insert_cache`` maps ``(a, head)`` to the
+int normal form of d_a head, and ``_evaluated_cache`` maps each word
+the action straightens to its normal form evaluated at w, free of psi.
+Returned dicts are shared and must not be mutated by callers.
 
 The action is the product evaluated at w: the universal module is
 U(Vir) tensored over the positive half with the character psi, so
 u . d_{-lam} w is the normal form of u d_{-lam} with its trailing
-positive modes replaced by their psi values.  ``act_terms`` is therefore
-``multiply_terms`` followed by that evaluation, and the evaluation is the
-only place psi enters the kernel.
+positive modes replaced by their psi values.  ``act_terms`` joins each
+word of u to each lifted d_{-lam}, takes the joined word's evaluation
+from ``_evaluated_cache``, whose entries carry the counts (e1, e2) of
+trailing d_1 and d_2 in place of psi, and accumulates int numerators.
+psi is folded in once per output key from those (e1, e2), the only
+place psi enters the kernel.
 """
 
 from bisect import bisect_right
@@ -55,16 +59,18 @@ IMPL = "python"
 
 _straighten_cache = {}
 _insert_cache = {}
+_evaluated_cache = {}
 
 
 def cache_clear():
     _straighten_cache.clear()
     _insert_cache.clear()
+    _evaluated_cache.clear()
 
 
 def cache_size():
     """Number of words straightened and memoized."""
-    return len(_straighten_cache)
+    return len(_straighten_cache) + len(_evaluated_cache)
 
 
 def insert_cache_size():
@@ -207,31 +213,78 @@ def multiply_terms(a, b):
     return {(t, w): Fraction(n, d << t) for (t, w), n in out.items() if n}
 
 
+def _evaluated(terms):
+    """An int normal form ``{(c_power, word): n}`` applied to w, free of
+    psi: a tuple of ``(dz, parts, e1, e2, n)``, each standing for
+    n / 2**dz z^dz psi1^e1 psi2^e2 d_{-parts} w, where e1 and e2 count
+    the word's trailing d_1 and d_2.  A word with a trailing d_n, n >= 3,
+    vanishes and is dropped."""
+    out = []
+    for (dz, w), n in terms.items():
+        cut = bisect_right(w, 0)
+        ones = bisect_right(w, 1, cut)
+        twos = bisect_right(w, 2, ones)
+        if twos == len(w):
+            out.append((dz, tuple(-i for i in reversed(w[:cut])), ones - cut, twos - ones, n))
+    return tuple(out)
+
+
 def act_terms(u_terms, v_terms, psi1, psi2):
     """Action of a UEA term map on a module term map, in the universal
     module (no z-power reduction).
 
-    Each basis vector z^t d_{-lam} w is lifted to the word d_{-lam}, the
-    product is straightened once, and every merged normal-form word is
-    evaluated at w: its trailing positive modes act through psi,
-    d_1 -> psi1, d_2 -> psi2, d_n -> 0 for n >= 3.
+    Each basis vector z^t d_{-lam} w is lifted to the word d_{-lam}; each
+    joined word is straightened and evaluated at w once, into
+    ``_evaluated_cache``, which holds no psi and so serves every psi and
+    context.  Int numerators accumulate over ``da * db * 2**t`` keyed by
+    ``(t, parts, e1, e2)``, and psi is folded in once per key: with E1, E2
+    the largest exponents present, psi_i = p_i / q_i contributes
+    p_i**e_i * q_i**(E_i - e_i) over a shared q_i**E_i.  That makes one
+    ``Fraction`` per output key.
     """
-    lifted = {
-        (t, tuple(-k for k in reversed(parts))): c
-        for (t, parts), c in v_terms.items()
-    }
+    da = lcm(*(c.denominator for c in u_terms.values()))
+    db = lcm(*(c.denominator for c in v_terms.values()))
+    lifted = [
+        (t, tuple(-k for k in reversed(lam)), lam, c.numerator * (db // c.denominator))
+        for (t, lam), c in v_terms.items()
+    ]
     out = {}
-    for (t, w), c in multiply_terms(u_terms, lifted).items():
-        cut = bisect_right(w, 0)
-        for j in w[cut:]:
-            if j == 1:
-                c = c * psi1
-            elif j == 2:
-                c = c * psi2
+    for (ta, wa), ca in u_terms.items():
+        na = ca.numerator * (da // ca.denominator)
+        neg = tuple(-i for i in reversed(wa))
+        alone = None
+        for tb, wb, lam, nb in lifted:
+            n0 = na * nb
+            t0 = ta + tb
+            if not wb:  # d_wa w
+                if alone is None:
+                    alone = _evaluated({(0, wa): 1})
+                terms = alone
+            elif not wa or wa[-1] <= wb[0]:
+                # d_wa d_{-lam} is already normal, with no positive letter
+                key = (t0, lam + neg, 0, 0)
+                out[key] = out.get(key, 0) + (n0 << t0)
+                continue
             else:
-                break  # d_n w = 0 for n >= 3: the word vanishes
-        else:
-            key = (t, tuple(-i for i in reversed(w[:cut])))
-            cur = out.get(key)
-            out[key] = c if cur is None else cur + c
-    return {key: c for key, c in out.items() if c}
+                word = wa + wb
+                terms = _evaluated_cache.get(word)
+                if terms is None:
+                    terms = _evaluated(_drive(_straightening(word)))
+                    _evaluated_cache[word] = terms
+            for dz, parts, e1, e2, n in terms:
+                # n / 2**dz over da * db * 2**(t0 + dz)
+                key = (t0 + dz, parts, e1, e2)
+                out[key] = out.get(key, 0) + ((n0 * n) << t0)
+    top1 = max((e1 for _, _, e1, _ in out), default=0)
+    top2 = max((e2 for _, _, _, e2 in out), default=0)
+    p1, q1 = psi1.numerator, psi1.denominator
+    p2, q2 = psi2.numerator, psi2.denominator
+    scale1 = [p1 ** e * q1 ** (top1 - e) for e in range(top1 + 1)]
+    scale2 = [p2 ** e * q2 ** (top2 - e) for e in range(top2 + 1)]
+    folded = {}
+    for (t, parts, e1, e2), n in out.items():
+        if n:
+            key = (t, parts)
+            folded[key] = folded.get(key, 0) + n * scale1[e1] * scale2[e2]
+    d = da * db * q1 ** top1 * q2 ** top2
+    return {(t, parts): Fraction(n, d << t) for (t, parts), n in folded.items() if n}

@@ -261,18 +261,23 @@ class TruncationSpec:
         if min(self.max_degree, self.max_zero_count, self.max_z_power) < 0:
             raise ValueError("truncation caps must be non-negative")
 
-    def basis_keys(self, ctx: ModuleContext) -> list[tuple[int, tuple]]:
-        """The window's basis keys (z-power, parts).  A window of more than
-        ``MAX_UNKNOWNS`` keys raises ValueError; the keys are counted,
-        (Z+1) * zcount per partition of each size up to N, before any is
-        built."""
-        zdim = ctx.z_dimension()
-        zcount = self.max_z_power + 1 if zdim is None else zdim
+    def unknowns(self, zcount: int) -> int:
+        """Number of window keys over ``zcount`` z-powers, (Z+1) * zcount
+        per partition of each size up to N, counted without building any.
+        A window of more than ``MAX_UNKNOWNS`` keys raises ValueError."""
         unknowns = 0
         for _size, count in zip(range(self.max_degree + 1), partition_counts()):
             unknowns += (self.max_zero_count + 1) * zcount * count
             if unknowns > MAX_UNKNOWNS:
                 raise ValueError(f"truncation window has more than {MAX_UNKNOWNS} unknowns")
+        return unknowns
+
+    def basis_keys(self, ctx: ModuleContext) -> list[tuple[int, tuple]]:
+        """The window's basis keys (z-power, parts), refused as ``unknowns``
+        refuses them before any is built."""
+        zdim = ctx.z_dimension()
+        zcount = self.max_z_power + 1 if zdim is None else zdim
+        self.unknowns(zcount)
         return [
             (t, lam.parts)
             for lam in pseudopartitions_upto(self.max_degree, self.max_zero_count)
@@ -578,6 +583,12 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     xi = to_rational(xi)
     if trunc is None:
         trunc = TruncationSpec()
+    # the quotient by (z - xi)^a keeps a z-powers, and every level but the
+    # top eliminates the window once: refuse before (z - xi)^a is built
+    window = trunc.unknowns(a)
+    if a * window > MAX_UNKNOWNS:
+        raise ValueError(f"composition series eliminates a x window = {a} x {window} "
+                         f"unknowns, more than {MAX_UNKNOWNS}")
     ctx = ModuleContext.quotient(psi, Poly.z_minus(xi) ** a)
     keys = trunc.basis_keys(ctx)
     quotient_dim = len(whittaker_solve(ModuleContext.central_quotient(psi, xi), trunc))

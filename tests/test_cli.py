@@ -262,6 +262,24 @@ class TestSeries:
         assert code == 0
         assert out.startswith("PASS")
 
+    @pytest.mark.parametrize("a", ["30", "3000"])
+    def test_series_beyond_a_times_window_is_domain_error(self, capsys, a):
+        # --a 30 took 19.7 s; --a 3000 spent 14 s building (z - 1)^3000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "series", "--xi", "1", "--a", a)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error: ")
+        assert "more than 5000" in err
+        assert len(err.splitlines()) == 1
+
+    def test_series_within_a_times_window_passes(self, capsys):
+        # 11 x (11 x 36) = 4356 unknowns in the default window
+        code, out, _ = run(capsys, "series", "--xi", "1", "--a", "11")
+        assert code == 0
+        assert out.startswith("PASS")
+
 
 class TestAnnihilate:
     def test_positive_mode(self, capsys):

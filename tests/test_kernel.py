@@ -11,12 +11,21 @@ from hypothesis import strategies as st
 
 from vira import kernel
 
+PSI = (Fraction(3, 2), Fraction(-2, 5))
+
 
 def test_cache_controls():
     kernel.cache_clear()
     assert kernel.cache_size() == 0
     assert kernel.insert_cache_size() == 0
     kernel.straighten_word((3, -3))
+    assert kernel.cache_size() == 1
+    assert kernel.insert_cache_size() > 0
+    kernel.cache_clear()
+    assert kernel.cache_size() == 0
+    assert kernel.insert_cache_size() == 0
+    # one action on a word that is not normal fills the evaluated-word memo
+    kernel.act_terms({(0, (2,)): Fraction(1)}, {(0, (2,)): Fraction(1)}, *PSI)
     assert kernel.cache_size() == 1
     assert kernel.insert_cache_size() > 0
     kernel.cache_clear()
@@ -78,8 +87,6 @@ def _terms(rng, max_len=4, parts=False):
         out[(rng.randint(0, 2), tuple(letters))] = coeff
     return out
 
-
-PSI = (Fraction(3, 2), Fraction(-2, 5))
 
 
 @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-memo", "shared-memo"])
@@ -148,3 +155,24 @@ def test_product_and_action_property(a, b, v, fresh):
         _clear()
     assert kernel.multiply_terms(a, b) == oracle.multiply_terms(a, b)
     assert kernel.act_terms(a, v, *PSI) == oracle.act_terms(a, v, *PSI)
+
+
+# the evaluated-word memo holds no psi: warmed under one psi, it serves another
+psi_values = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(1, 10 ** 6))
+psi_pairs = st.tuples(psi_values, psi_values)
+acting_words = st.one_of(
+    st.lists(letters, max_size=4).map(lambda w: tuple(sorted(w))),
+    # a trailing d_3, which kills the word at w
+    st.lists(st.integers(-4, 3), max_size=3).map(lambda w: tuple(sorted(w)) + (3,)),
+    # at most d_{-4}, so joined to any lifted d_{-lam} here it stays normal
+    st.lists(st.integers(-8, -4), max_size=3).map(lambda w: tuple(sorted(w))),
+)
+acting_terms = st.dictionaries(st.tuples(st.integers(0, 2), acting_words), coeffs, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(acting_terms, module_terms, psi_pairs, psi_pairs)
+def test_action_memo_is_psi_free(u, v, warm, psi):
+    _clear()
+    kernel.act_terms(u, v, *warm)
+    assert kernel.act_terms(u, v, *psi) == oracle.act_terms(u, v, *psi)
