@@ -3,11 +3,24 @@
 Everything here reduces to exact rational computation: the Whittaker
 solver builds its constraint system from exact dot-action images (the
 truncation only restricts the search space, never the equations), and
-the verifiers compute both sides of an identity and compare.  The solver
-and ``nullspace()`` eliminate mod a prime, lift the nullspace by rational
-reconstruction and certify the lift exactly over Q, falling back to the
-echelon over Q; their basis is the exact one.  Spans, ranks, orbits and
-series run the deterministic sparse echelon over Q.
+the verifiers compute both sides of an identity and compare.  There is
+one sparse echelon over Q, each row pivoting on its smallest column.
+Spans, orbits and series run it in the columns' own order.
+
+The solver and ``nullspace()`` eliminate top-down: they number the
+unknowns from the last one down, so that each row pivots on its highest
+unknown, and insert the rows in increasing order of their largest column
+in that numbering, which keeps the fill small.  The nullspace found is
+then reduced to the canonical basis: 1 at each vector's largest unknown,
+0 at the other vectors' largest unknowns, in ascending order of it.  The
+canonical basis is unique, so no elimination order changes it.  Why: for
+a nonzero v in the nullspace N with largest nonzero unknown m, m is free
+in the echelon in the unknowns' own order (were m a pivot, its pivot row
+r, with entries at unknowns >= m and r_m = 1, would give r.v = v_m != 0),
+and the vector of each free unknown f solved through that echelon is 1
+at f and 0 past f.  So the largest unknowns of N are exactly those free
+unknowns F, a vector of N that vanishes on F is 0, and N has one basis
+that is the identity on F.
 
 Results meant for display are wrapped in ``Report`` records that render
 either as aligned text or as the stable JSON shape
@@ -19,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
 from typing import NamedTuple
 
 from .partitions import Pseudopartition, partition_counts, pseudopartitions_upto
@@ -32,38 +44,26 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# linear algebra: one echelon, over Q or mod p
+# linear algebra: one echelon over Q
 
-#: Primes of the modular nullspace, tried in turn.
-_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
-
-
-def _echelon_insert(pivots: dict, row: dict, p: int = 0):
+def _echelon_insert(pivots: dict, row: dict):
     """Reduce ``row`` against the pivot rows and install it.
 
-    Columns may be any mutually comparable keys.  ``pivots`` maps a pivot
-    column to its normalized row (pivot entry 1).  Returns the new pivot
-    column, or None when the row reduces to zero.  The pivot of a row is
-    always its smallest remaining column, which makes the resulting
-    pivot-column set independent of insertion order.  The row is
-    consumed.  With ``p = 0`` entries are rationals; with a prime ``p``
-    they are ints in [0, p), the pivot row is scaled by the inverse of
-    its lead mod p and every update is reduced mod p.
+    Columns may be any mutually comparable keys, entries are rationals.
+    ``pivots`` maps a pivot column to its normalized row (pivot entry 1).
+    Returns the new pivot column, or None when the row reduces to zero.
+    The pivot of a row is always its smallest remaining column, which
+    makes the resulting pivot-column set independent of insertion order.
+    The row is consumed.
     """
     while row:
         c = min(row)
         piv = pivots.get(c)
         if piv is None:
             lead = row.pop(c)
-            if p:
-                inv = pow(lead, -1, p)
-                normalized = {c: 1}
-                for j, v in row.items():
-                    normalized[j] = v * inv % p
-            else:
-                normalized = {c: _ONE}
-                for j, v in row.items():
-                    normalized[j] = v / lead
+            normalized = {c: _ONE}
+            for j, v in row.items():
+                normalized[j] = v / lead
             pivots[c] = normalized
             return c
         f = row.pop(c)
@@ -71,8 +71,6 @@ def _echelon_insert(pivots: dict, row: dict, p: int = 0):
             if j == c:
                 continue
             nv = row.get(j, 0) - f * v
-            if p:
-                nv %= p
             if nv:
                 row[j] = nv
             else:
@@ -80,17 +78,15 @@ def _echelon_insert(pivots: dict, row: dict, p: int = 0):
     return None
 
 
-def _nullspace_from_pivots(pivots: dict, ncols: int, p: int = 0) -> list[tuple]:
-    """Canonical nullspace basis: one vector per free column, equal to 1
-    there and solved through the pivot rows everywhere else (mod ``p``
-    when it is nonzero)."""
-    zero, one = (0, 1) if p else (_ZERO, _ONE)
+def _nullspace_from_pivots(pivots: dict, ncols: int) -> list[dict]:
+    """Nullspace basis as sparse vectors: one per free column, equal to 1
+    there and solved through the pivot rows everywhere else."""
     order = sorted(pivots, reverse=True)
     basis = []
     for free_col in range(ncols):
         if free_col in pivots:
             continue
-        x = {free_col: one}
+        x = {free_col: _ONE}
         for c in order:
             s = 0
             for j, v in pivots[c].items():
@@ -98,119 +94,57 @@ def _nullspace_from_pivots(pivots: dict, ncols: int, p: int = 0) -> list[tuple]:
                     xj = x.get(j)
                     if xj is not None:
                         s += v * xj
-            if p:
-                s = -s % p
-                if s:
-                    x[c] = s
-            elif s:
+            if s:
                 x[c] = -s
-        basis.append(tuple(x.get(j, zero) for j in range(ncols)))
+        basis.append(x)
     return basis
 
 
-def _reduce_row(row: dict, p: int) -> dict | None:
-    """The row mod p, zero entries dropped, or None when an entry's
-    denominator is divisible by p."""
-    out = {}
-    for j, v in row.items():
-        if v.denominator % p == 0:
-            return None
-        r = v.numerator * pow(v.denominator, -1, p) % p
-        if r:
-            out[j] = r
-    return out
+def _canonical_basis(vectors: list[list]) -> list[tuple]:
+    """The basis of the span of the independent dense ``vectors`` that is
+    1 at each vector's largest index and 0 at the other vectors' largest
+    indices, in ascending order of that index: Gauss-Jordan elimination,
+    each vector pivoting on its largest index."""
+    rows: dict = {}
+    for v in vectors:
+        for lead, r in rows.items():
+            f = v[lead]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, r)]
+        lead = max(j for j, x in enumerate(v) if x)
+        f = v[lead]
+        v = [x / f if x else x for x in v]
+        for other, r in rows.items():
+            g = r[lead]
+            if g:
+                rows[other] = [x - g * y if y else x for x, y in zip(r, v)]
+        rows[lead] = v
+    return [tuple(rows[lead]) for lead in sorted(rows)]
 
 
-def _reconstruct(u: int, p: int) -> Fraction | None:
-    """The rational a/b with a = b*u mod p and |a|, b <= sqrt(p/2), or
-    None when there is none (Wang's rational reconstruction)."""
-    if not u:
-        return _ZERO
-    bound = isqrt(p // 2)
-    r0, r1, s0, s1 = p, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
+def _top_down_nullspace(rows: list[dict], ncols: int) -> list[tuple]:
+    """Canonical nullspace basis (see the module docstring) of sparse
+    rational rows in the elimination numbering, where unknown j of
+    ``ncols`` sits in column ncols - 1 - j.
 
-
-def _modular_candidate(rows: list[dict], ncols: int, p: int) -> list[tuple] | None:
-    """The canonical nullspace mod p lifted to Q, or None when a
-    denominator vanishes mod p or an entry has no reconstruction."""
-    pivots: dict = {}
-    for row in rows:
-        reduced = _reduce_row(row, p)
-        if reduced is None:
-            return None
-        _echelon_insert(pivots, reduced, p)
-    lifted = []
-    for vec in _nullspace_from_pivots(pivots, ncols, p):
-        entries = tuple(_reconstruct(u, p) for u in vec)
-        if None in entries:
-            return None
-        lifted.append(entries)
-    return lifted
-
-
-def _annihilates(rows: list[dict], basis: list[tuple]) -> bool:
-    """True when every row dotted with every basis vector is exactly 0."""
-    for vec in basis:
-        support = {j: x for j, x in enumerate(vec) if x}
-        for row in rows:
-            s = 0
-            for j, c in row.items():
-                x = support.get(j)
-                if x is not None:
-                    s += c * x
-            if s:
-                return False
-    return True
-
-
-def _certified_nullspace(rows: list[dict], ncols: int) -> list[tuple]:
-    """Canonical nullspace basis of sparse rational rows over ``ncols``
-    columns, the same basis as the exact echelon's, found mod p.
-
-    For each prime of ``_PRIMES`` the rows are reduced mod p as they are
-    inserted, the canonical nullspace mod p is lifted entrywise by
-    rational reconstruction, and the lift is certified: every row dotted
-    with every lifted vector must be exactly 0 over Q.  The first
-    certified lift is returned; a denominator divisible by p, a failed
-    reconstruction or a failed certificate moves on to the next prime,
-    and if none certifies, the exact echelon over Q runs.
-
-    Why a certified lift is the exact basis.  Write N_Q for the nullspace
-    over Q and F_p, F_Q for the free columns mod p and over Q.
-    (1) Reduction mod p cannot raise the rank, so rank mod p <= rank over
-    Q and |F_p| >= dim N_Q.  (2) The certified vectors lie in N_Q and are
-    the identity on F_p, so they are independent: dim N_Q >= |F_p|, and
-    the two are equal.  (3) The vector of free column f mod p is 1 at f
-    and 0 past f, since each pivot row lies on and right of its pivot;
-    reconstruction maps 0 to 0 and nothing else to 0, so the lift too has
-    its largest nonzero index at f.  For any nonzero v in N_Q the largest nonzero
-    index m is a free column over Q: were it a pivot column, its pivot
-    row r (entries at columns >= m, r_m = 1) would give r.v = v_m != 0.
-    So F_p lies in F_Q, and the sizes being equal, F_p = F_Q.  (4) By
-    (3) a vector of N_Q that vanishes on F_Q is 0, so the basis of N_Q
-    that is the identity on F_Q is unique; the certified lift is it.
+    Each row pivots on its smallest column there, its highest unknown,
+    and the rows go in by increasing largest column.  The rows are
+    consumed.  The basis vectors are tuples over the unknowns in their
+    own order.
     """
-    for p in _PRIMES:
-        basis = _modular_candidate(rows, ncols, p)
-        if basis is not None and _annihilates(rows, basis):
-            return basis
     pivots: dict = {}
-    for row in rows:
-        _echelon_insert(pivots, dict(row))
-    return _nullspace_from_pivots(pivots, ncols)
+    for row in sorted((row for row in rows if row), key=max):
+        _echelon_insert(pivots, row)
+    vectors = [[vec.get(ncols - 1 - j, _ZERO) for j in range(ncols)]
+               for vec in _nullspace_from_pivots(pivots, ncols)]
+    return _canonical_basis(vectors)
 
 
 def _sparse_rows(rows) -> tuple[list[dict], int]:
-    """A dense matrix, given as a list of rows, as sparse rational rows
-    and its column count.  Entries go through ``to_rational``; ragged
-    rows raise ValueError."""
+    """A dense matrix, given as a list of rows, as sparse rational rows in
+    the elimination numbering (column j of n at n - 1 - j) and its column
+    count.  Entries go through ``to_rational``; ragged rows raise
+    ValueError."""
     sparse = []
     ncols = None
     for row in rows:
@@ -219,14 +153,15 @@ def _sparse_rows(rows) -> tuple[list[dict], int]:
             ncols = len(row)
         elif len(row) != ncols:
             raise ValueError("matrix rows must have equal length")
-        sparse.append({j: v for j, v in enumerate(row) if v})
+        sparse.append({ncols - 1 - j: v for j, v in enumerate(row) if v})
     return sparse, ncols or 0
 
 
 def nullspace(rows) -> list[tuple]:
     """Exact nullspace basis of a rational matrix, in canonical form
-    (identity on the free columns, deterministic pivot order)."""
-    return _certified_nullspace(*_sparse_rows(rows))
+    (1 at each vector's last nonzero column and 0 at the others' last
+    nonzero columns, in ascending order of that column)."""
+    return _top_down_nullspace(*_sparse_rows(rows))
 
 
 def rank(rows) -> int:
@@ -337,19 +272,26 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
     The unknown vector ranges over the truncated basis; the conditions
     (d_1 and d_2 dot-annihilate it) are imposed on the full exact images,
     which may leave the truncated span -- so no spurious solutions arise
-    from discarded terms.  The system is solved by the certified modular
-    nullspace, whose basis is the exact echelon's.
+    from discarded terms.  The equations are built directly in the
+    elimination numbering, the last basis key first, and solved top-down
+    over Q: each row pivots on its highest unknown, and the rows go in by
+    their lowest unknown, from the last down.  The nullspace is reduced
+    to the basis that is 1 at each vector's largest unknown and 0 at the
+    others'.  Those largest unknowns are the free unknowns of the echelon
+    in the keys' own order, and a nullspace vector that vanishes at all
+    of them is 0, so that basis is unique and no elimination order
+    changes it (see the module docstring).
     """
     keys = trunc.basis_keys(ctx)
+    last = len(keys) - 1
     equations: dict = {}
     for i, (t, parts) in enumerate(keys):
         b = ctx.basis_vector(t, parts)
         for n in (1, 2):
             for key2, c in dot_act(n, b)._terms.items():
-                equations.setdefault((n,) + key2, {})[i] = c
-    rows = [equations[eqkey] for eqkey in sorted(equations)]
+                equations.setdefault((n,) + key2, {})[last - i] = c
     out = []
-    for vec in _certified_nullspace(rows, len(keys)):
+    for vec in _top_down_nullspace(list(equations.values()), len(keys)):
         terms = {keys[i]: c for i, c in enumerate(vec) if c}
         out.append(ModuleElement._raw(ctx, terms))
     return out
@@ -487,13 +429,19 @@ def verify_dot_span(n: int, i: int, lam, psi) -> Report:
 # ---------------------------------------------------------------------------
 # orbit closure
 
+#: Most vectors an orbit's spanning set may hold (``d-1^15*w`` needs
+#: 136); the set is checked as it grows, so a larger orbit stops early.
+MAX_ORBIT = 150
+
+
 def dot_orbit_dimension(v: ModuleElement) -> tuple[int, list[ModuleElement]]:
     """Exact dimension (and a spanning set) of the closure of v under the
     dot action of the positive modes.
 
     Modes above maxdeg + 2 act as zero on every term, so the closure uses
     only finitely many modes per element and stabilizes at finite
-    dimension.
+    dimension.  A spanning set that grows past ``MAX_ORBIT`` vectors
+    raises ValueError.
     """
     if v.is_zero():
         raise ValueError("dot_orbit_dimension requires a nonzero element")
@@ -505,6 +453,8 @@ def dot_orbit_dimension(v: ModuleElement) -> tuple[int, list[ModuleElement]]:
         if _echelon_insert(pivots, dict(cur._terms)) is None:
             continue
         spanning.append(cur)
+        if len(spanning) > MAX_ORBIT:
+            raise ValueError(f"orbit spans more than {MAX_ORBIT} vectors")
         cutoff = int(cur.maxdeg()) + 2
         for n in range(1, cutoff + 1):
             img = dot_act(n, cur)

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,7 @@ from vira.whittaker import (
     ModuleContext,
     WhittakerHomomorphism,
     act,
+    dot_act,
     is_whittaker_vector,
     whittaker_reduce,
 )
@@ -82,26 +82,17 @@ class TestNullspace:
             rank([[1], [2, 3]])
 
 
-def exact_nullspace(rows):
-    """The oracle: the echelon over Q and its canonical nullspace."""
-    ncols = len(rows[0]) if rows else 0
+def exact_nullspace(rows, ncols=None):
+    """The oracle: the echelon over Q in the columns' own order, each row
+    pivoting on its lowest column, and its nullspace solved through the
+    pivot rows with the identity on the free columns."""
+    if ncols is None:
+        ncols = len(rows[0])
     pivots: dict = {}
     for row in rows:
         analysis._echelon_insert(pivots, {j: Fraction(v) for j, v in enumerate(row) if v})
-    return analysis._nullspace_from_pivots(pivots, ncols)
-
-
-def candidate_log():
-    """Patch ``_modular_candidate`` to record (prime, refused) per call."""
-    log = []
-    original = analysis._modular_candidate
-
-    def spy(rows, ncols, p):
-        basis = original(rows, ncols, p)
-        log.append((p, basis is None))
-        return basis
-
-    return log, mock.patch.object(analysis, "_modular_candidate", spy)
+    return [tuple(vec.get(j, Fraction(0)) for j in range(ncols))
+            for vec in analysis._nullspace_from_pivots(pivots, ncols)]
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
@@ -125,55 +116,34 @@ def rational_matrices(draw):
 
 
 class TestCertifiedNullspace:
+    """The top-down nullspace against the echelon in the columns' order."""
+
     @settings(max_examples=150, deadline=None)
     @given(rational_matrices())
     def test_equals_exact_echelon(self, rows):
         assert nullspace(rows) == exact_nullspace(rows)
 
-    def test_false_modular_kernel_is_rejected(self):
-        # mod 7 the row [7] vanishes and claims the kernel [(1,)]
-        with mock.patch.object(analysis, "_PRIMES", (7,)):
-            assert nullspace([[7]]) == []
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices(), st.randoms(use_true_random=False))
+    def test_row_order_is_irrelevant(self, rows, rng):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert nullspace(shuffled) == nullspace(rows)
 
-    def test_false_reconstruction_is_rejected(self):
-        # mod 2^61-1 the lift is a small rational that certification
-        # rejects; the larger primes cannot reconstruct, so Q decides
-        a, b = 10**40 + 39, 10**40 + 1
-        log, spy = candidate_log()
-        with spy:
-            assert nullspace([[a, b]]) == [(Fraction(-b, a), 1)]
-        assert log == [(2**61 - 1, False), (2**89 - 1, True), (2**127 - 1, True)]
-
-    def test_reconstruction_moves_to_a_wider_prime(self):
-        a, b = 10**12 + 39, 10**12 + 1
-        log, spy = candidate_log()
-        with spy:
-            assert nullspace([[a, b]]) == [(Fraction(-b, a), 1)]
-        assert log == [(2**61 - 1, True), (2**89 - 1, False)]
-
-    def test_denominator_divisible_by_prime_moves_on(self):
-        ctx = ModuleContext.universal((1, Fraction(1, 3)))
-        log, spy = candidate_log()
-        with spy, mock.patch.object(analysis, "_PRIMES", (3, 2**61 - 1)):
-            basis = whittaker_solve(ctx, TruncationSpec(3, 1, 1))
-        assert log == [(3, True), (2**61 - 1, False)]
-        with mock.patch.object(analysis, "_PRIMES", ()):
-            assert basis == whittaker_solve(ctx, TruncationSpec(3, 1, 1))
-        assert [str(b) for b in basis] == ["w", "z*w"]
-
-    def test_modular_echelon_keeps_pivots(self):
-        rng = random.Random(5)
-        p = 2**61 - 1
-        for _ in range(20):
-            rows = [{j: rng.randint(-3, 3) for j in range(6)} for _ in range(rng.randint(1, 6))]
-            exact: dict = {}
-            modular: dict = {}
-            for row in rows:
-                got = analysis._echelon_insert(modular, {j: v % p for j, v in row.items() if v}, p)
-                want = analysis._echelon_insert(exact, {j: Fraction(v) for j, v in row.items() if v})
-                assert got == want
-            for c, row in modular.items():
-                assert all(0 <= v < p for v in row.values()) and row[c] == 1
+    def test_canonical_reduction_of_a_mixed_basis(self):
+        # the canonical basis: 1 at its own largest index (1, 3, 4), 0 at
+        # the other two
+        v1 = (2, 1, 0, 0, 0)
+        v2 = (3, 0, -1, 1, 0)
+        v3 = (Fraction(1, 2), 0, 5, 0, 1)
+        scaled_and_mixed = [
+            [3 * c + a for a, c in zip(v1, v3)],
+            [-2 * b + c / 2 for b, c in zip(v2, v3)],
+            [7 * a - b for a, b in zip(v1, v2)],
+        ]
+        basis = analysis._canonical_basis([[Fraction(x) for x in v] for v in scaled_and_mixed])
+        assert basis == [v1, v2, v3]
+        assert all(isinstance(x, Fraction) for vec in basis for x in vec)
 
 
 nonzero_rationals = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
@@ -186,15 +156,45 @@ solver_contexts = st.one_of(
 )
 
 
+def dense_equations(ctx, keys):
+    """The solver's system rebuilt from ``dot_act``: one dense row per
+    (mode, image key), the unknowns in the basis keys' order."""
+    equations: dict = {}
+    for i, (t, parts) in enumerate(keys):
+        for n in (1, 2):
+            for key2, c in dot_act(n, ctx.basis_vector(t, parts))._terms.items():
+                equations.setdefault((n,) + key2, [0] * len(keys))[i] = c
+    return [equations[k] for k in sorted(equations)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(solver_contexts, st.integers(0, 4), st.integers(0, 2), st.integers(0, 2))
 def test_solver_equals_exact_echelon(ctx_tcap, n_cap, z_cap, t_cap):
     ctx, t_max = ctx_tcap
     trunc = TruncationSpec(n_cap, z_cap, min(t_cap, t_max))
+    keys = trunc.basis_keys(ctx)
     basis = whittaker_solve(ctx, trunc)
-    with mock.patch.object(analysis, "_PRIMES", ()):
-        assert basis == whittaker_solve(ctx, trunc)
+    assert [tuple(b.coefficient(t, parts) for t, parts in keys) for b in basis] == \
+        exact_nullspace(dense_equations(ctx, keys), len(keys))
     assert all(is_whittaker_vector(b) for b in basis)
+
+
+def test_solver_fill_stays_small(monkeypatch):
+    # the top-down order fills 2522 entries on this window; the order by
+    # equation key with each row pivoting on its lowest unknown filled 9822
+    fill = []
+    original = analysis._echelon_insert
+
+    def spy(pivots, row):
+        c = original(pivots, row)
+        if c is not None:
+            fill.append(len(pivots[c]))
+        return c
+
+    monkeypatch.setattr(analysis, "_echelon_insert", spy)
+    ctx = ModuleContext.central_quotient(PSI, 0)
+    assert len(whittaker_solve(ctx, TruncationSpec(12, 3, 0))) == 1
+    assert len(fill) == 1087 and sum(fill) < 3000
 
 
 class TestTruncationSpec:
@@ -356,6 +356,14 @@ class TestDotOrbit:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dot_orbit_dimension(ModuleContext.universal(PSI).element())
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        v = ModuleContext.universal(PSI).basis_vector(0, (1,))
+        monkeypatch.setattr(analysis, "MAX_ORBIT", 3)
+        assert dot_orbit_dimension(v)[0] == 3
+        monkeypatch.setattr(analysis, "MAX_ORBIT", 2)
+        with pytest.raises(ValueError, match="orbit spans more than 2 vectors"):
+            dot_orbit_dimension(v)
 
 
 class TestDecompose:

@@ -317,6 +317,15 @@ class TestOrbit:
         assert code == 0
         assert "dimension: 3" in out
 
+    def test_orbit_beyond_cap_is_domain_error(self, capsys):
+        # d-1^30*w ran past 20 s; the cap stops it at 150 spanning vectors
+        start = time.perf_counter()
+        code, out, err = run(capsys, "orbit", "--module", "M", "d-1^30*w")
+        assert time.perf_counter() - start < 15
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: orbit spans more than 150 vectors\n"
+
 
 class TestWitt:
     def test_projection_only(self, capsys):
