@@ -13,9 +13,9 @@ Data model (plain builtins, shared with the element layer):
 Integer coefficients.  The bracket is d_a d_b = d_b d_a + (b - a) d_{a+b}
 [+ (a^3 - a)/12 z when b = -a].  Inside the kernel the central element
 is c = z/2, and since 6 divides a^3 - a every coefficient is an integer:
-the central part is ((a^3 - a)/6) c.  Straightening works on
-``{(c_power, word): int}`` maps; a term leaves the kernel as
-``Fraction(n, 2**c_power)`` with z-power c_power.
+the central part is ((a^3 - a)/6) c.  Straightening works on int normal
+forms ``{(c_power, word): n}``, each term standing for
+n / 2**c_power z^c_power word; ``straighten_word`` returns them.
 
 Insertion.  ``_insertion(a, w)`` builds the normal form of d_a w for a
 normal word w = (b, *rest) with a > b from
@@ -26,19 +26,21 @@ insertions they need and are driven on an explicit stack by ``_drive``,
 so no input reaches the recursion limit; every request is strictly
 shorter than the insertion that makes it, so the stack never cycles.
 
-Head stripping.  An insertion d_a w is memoized on ``(a, w[:i])`` where
-i is the first index with w[i] >= M_i = a + (sum of the positive letters
-of w[:i]); the tail w[i:] is appended to every result word.  This is
-exact: brackets add indices, so every letter of d_a w[:i] in normal form
-is the sum of a disjoint subset of {a} and w[:i], which is at most M_i
-(when a <= 0, w[:i] holds only letters below a), and M_i <= w[i] <= every
-tail letter, so nothing ever moves into the tail.
+Head stripping.  An insertion d_a w is memoized on the word
+``(a,) + w[:i]``, where i is the first index with w[i] >= M_i = a + (sum
+of the positive letters of w[:i]); the tail w[i:] is appended to every
+result word.  This is exact: brackets add indices, so every letter of
+d_a w[:i] in normal form is the sum of a disjoint subset of {a} and
+w[:i], which is at most M_i (when a <= 0, w[:i] holds only letters below
+a), and M_i <= w[i] <= every tail letter, so nothing ever moves into the
+tail.
 
-Memos: ``_straighten_cache`` maps each straightened word to its
-``Fraction`` normal form, ``_insert_cache`` maps ``(a, head)`` to the
-int normal form of d_a head, and ``_evaluated_cache`` maps each word
-the action straightens to its normal form evaluated at w, free of psi.
-Returned dicts are shared and must not be mutated by callers.
+Memos: ``_normal_forms`` maps a word to its int normal form, and the
+insertion d_a head is stored under the word ``(a,) + head``: it is that
+word's normal form, so a straightened word and an insertion share one
+entry.  ``_evaluated_cache`` maps each word the action straightens to
+its normal form evaluated at w, free of psi.  Returned dicts are shared
+and must not be mutated by callers.
 
 The action is the product evaluated at w: the universal module is
 U(Vir) tensored over the positive half with the character psi, so
@@ -57,25 +59,19 @@ from math import lcm
 
 IMPL = "python"
 
-_straighten_cache = {}
-_insert_cache = {}
+_normal_forms = {}
 _evaluated_cache = {}
 
 
 def cache_clear():
-    _straighten_cache.clear()
-    _insert_cache.clear()
+    _normal_forms.clear()
     _evaluated_cache.clear()
 
 
 def cache_size():
-    """Number of words straightened and memoized."""
-    return len(_straighten_cache) + len(_evaluated_cache)
-
-
-def insert_cache_size():
-    """Number of memoized insertions d_a * head."""
-    return len(_insert_cache)
+    """Number of memoized words: normal forms (words straightened and
+    insertions) plus the words the action evaluated at w."""
+    return len(_normal_forms) + len(_evaluated_cache)
 
 
 def central_coefficient(k):
@@ -130,8 +126,8 @@ def _drive(root):
     """Run a straightening or insertion generator on an explicit stack.
 
     Each request ``(a, w)`` is split into head and tail, answered from
-    ``_insert_cache`` or by a new insertion frame, and sent back with the
-    tail appended to every word.
+    ``_normal_forms`` under the word ``(a,) + head`` or by a new insertion
+    frame, and sent back with the tail appended to every word.
     """
     stack = [(None, (), root)]
     value = None
@@ -144,7 +140,7 @@ def _drive(root):
             stack.pop()
             if key is None:
                 return value
-            _insert_cache[key] = value
+            _normal_forms[key] = value
         else:
             bound = a
             i = 0
@@ -157,8 +153,8 @@ def _drive(root):
             if not i:
                 value = {(0, (a,) + w): 1}
                 continue
-            key, tail = (a, w[:i]), w[i:]
-            value = _insert_cache.get(key)
+            key, tail = (a,) + w[:i], w[i:]
+            value = _normal_forms.get(key)
             if value is None:
                 stack.append((key, tail, _insertion(a, w[:i])))
                 continue
@@ -167,19 +163,13 @@ def _drive(root):
 
 
 def straighten_word(word):
-    """Normal form of the product d_{word[0]} ... d_{word[-1]}.
-
-    Returns ``{(extra_z_power, sorted_word): coefficient}``.
-    """
-    cached = _straighten_cache.get(word)
-    if cached is not None:
-        return cached
-    result = {
-        (t, u): Fraction(n, 1 << t)
-        for (t, u), n in _drive(_straightening(word)).items()
-    }
-    _straighten_cache[word] = result
-    return result
+    """Int normal form ``{(c_power, sorted_word): n}`` of the product
+    d_{word[0]} ... d_{word[-1]}, each term standing for
+    n / 2**c_power z^c_power sorted_word.  The dict is the memo's own."""
+    terms = _normal_forms.get(word)
+    if terms is None:
+        terms = _normal_forms[word] = _drive(_straightening(word))
+    return terms
 
 
 def multiply_terms(a, b):
@@ -204,11 +194,10 @@ def multiply_terms(a, b):
                 key = (t0, wa + wb)
                 out[key] = out.get(key, 0) + (n0 << t0)
                 continue
-            for (dz, w), c in straighten_word(wa + wb).items():
-                # c = p / 2**s with s <= dz; over da * db * 2**(t0 + dz)
+            for (dz, w), n in straighten_word(wa + wb).items():
+                # n / 2**dz over da * db * 2**(t0 + dz)
                 key = (t0 + dz, w)
-                shift = t0 + dz + 1 - c.denominator.bit_length()
-                out[key] = out.get(key, 0) + ((n0 * c.numerator) << shift)
+                out[key] = out.get(key, 0) + ((n0 * n) << t0)
     d = da * db
     return {(t, w): Fraction(n, d << t) for (t, w), n in out.items() if n}
 

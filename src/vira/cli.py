@@ -49,6 +49,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_INTERNAL_ERROR = 70
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _color_enabled() -> bool:
@@ -428,11 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return globals()[f"cmd_{args.func}"](args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage errors, --help and --version
+            code = int(exc.code or 0)
+        else:
+            code = globals()[f"cmd_{args.func}"](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: no crash; what stays buffered goes to the
+        # null device when the interpreter flushes at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ExpressionError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

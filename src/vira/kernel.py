@@ -6,12 +6,11 @@ from ._kernel_py import (
     cache_clear,
     cache_size,
     central_coefficient,
-    insert_cache_size,
     multiply_terms,
     straighten_word,
 )
 
 __all__ = [
     "IMPL", "act_terms", "cache_clear", "cache_size", "central_coefficient",
-    "insert_cache_size", "multiply_terms", "straighten_word",
+    "multiply_terms", "straighten_word",
 ]

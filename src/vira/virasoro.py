@@ -259,8 +259,8 @@ def straighten(word, z_power: int = 0, coeff=1) -> UEAElement:
     if not c0:
         return UEAElement.zero()
     out: dict = {}
-    for (dz, w), c in kernel.straighten_word(tuple(int(i) for i in word)).items():
-        out[(z_power + dz, w)] = c0 * c
+    for (dz, w), n in kernel.straighten_word(tuple(int(i) for i in word)).items():
+        out[(z_power + dz, w)] = c0 * Fraction(n, 1 << dz)
     return UEAElement._raw(out)
 
 

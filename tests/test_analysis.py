@@ -83,16 +83,34 @@ class TestNullspace:
 
 
 def exact_nullspace(rows, ncols=None):
-    """The oracle: the echelon over Q in the columns' own order, each row
-    pivoting on its lowest column, and its nullspace solved through the
-    pivot rows with the identity on the free columns."""
+    """The oracle, independent of the engine's echelon: the reduced echelon
+    over Q with each row pivoting on its lowest column, and its nullspace
+    solved through the pivot rows with the identity on the free columns."""
     if ncols is None:
         ncols = len(rows[0])
-    pivots: dict = {}
+    pivots: dict = {}  # pivot column -> dense row, 1 there and 0 at other pivots
     for row in rows:
-        analysis._echelon_insert(pivots, {j: Fraction(v) for j, v in enumerate(row) if v})
-    return [tuple(vec.get(j, Fraction(0)) for j in range(ncols))
-            for vec in analysis._nullspace_from_pivots(pivots, ncols)]
+        row = [Fraction(v) for v in row]
+        for c, piv in pivots.items():
+            if row[c]:
+                row = [x - row[c] * y for x, y in zip(row, piv)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        row = [x / row[lead] for x in row]
+        for c, piv in pivots.items():
+            if piv[lead]:
+                pivots[c] = [x - piv[lead] * y for x, y in zip(piv, row)]
+        pivots[lead] = row
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for c, piv in pivots.items():
+                vec[c] = -piv[f]
+            basis.append(tuple(vec))
+    return basis
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))

@@ -34,14 +34,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
+def run_process(*argv, stdout=subprocess.PIPE, **env):
     """``python -m vira *argv`` in a child that imports the same package
-    as this test run, installed or not."""
+    as this test run, installed or not; ``env`` adds to its environment."""
     src = os.path.dirname(os.path.dirname(vira.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
     return subprocess.run(
-        [sys.executable, "-m", "vira", *argv], capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "vira", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env=env,
     )
 
 
@@ -414,6 +415,24 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert sl2_problems(45, proc.stdout.strip()) == []
+
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (["straighten", "d2*d-2"], ""), (["straighten", "d2*d-2"], "1"),
+        (["straighten", "d1^12*d-1^12"], ""), (["straighten", "d1^12*d-1^12"], "1"),
+        # argparse drops its own write errors, so only a buffered --version
+        # meets the closed pipe, at the flush
+        (["--version"], ""),
+    ], ids=["short-buffered", "short-unbuffered", "long-buffered", "long-unbuffered", "version"])
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        # the reader is gone before the child writes a byte
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_process(*argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("expr", ["((d1^1000)^1000)^1000", "3^100000"])
     def test_huge_exponent_is_a_parse_error(self, expr):

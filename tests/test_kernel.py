@@ -14,31 +14,40 @@ from vira import kernel
 PSI = (Fraction(3, 2), Fraction(-2, 5))
 
 
+def _fractions(terms):
+    """An int normal form ``{(c_power, word): n}`` as the oracle's
+    ``{(z_power, word): Fraction}``."""
+    return {(t, w): Fraction(n, 1 << t) for (t, w), n in terms.items()}
+
+
+def _straightened(word):
+    return _fractions(kernel.straighten_word(word))
+
+
 def test_cache_controls():
     kernel.cache_clear()
     assert kernel.cache_size() == 0
-    assert kernel.insert_cache_size() == 0
+    # d_3 d_{-3} is one insertion, stored under the word itself
     kernel.straighten_word((3, -3))
     assert kernel.cache_size() == 1
-    assert kernel.insert_cache_size() > 0
     kernel.cache_clear()
     assert kernel.cache_size() == 0
-    assert kernel.insert_cache_size() == 0
     # one action on a word that is not normal fills the evaluated-word memo
+    # and memoizes the insertion d_2 d_{-2}
     kernel.act_terms({(0, (2,)): Fraction(1)}, {(0, (2,)): Fraction(1)}, *PSI)
-    assert kernel.cache_size() == 1
-    assert kernel.insert_cache_size() > 0
+    assert kernel.cache_size() == 2
     kernel.cache_clear()
     assert kernel.cache_size() == 0
-    assert kernel.insert_cache_size() == 0
 
 
 def test_cache_size_counts_words_straightened():
     kernel.cache_clear()
     kernel.straighten_word((2, 1, -1, -2))
+    # the word and the 14 insertions it needs, d_1 d_{-1} among them
+    assert kernel.cache_size() == 15
     kernel.straighten_word((2, 1, -1, -2))
     kernel.straighten_word((1, -1))
-    assert kernel.cache_size() == 2
+    assert kernel.cache_size() == 15
 
 
 def test_central_coefficient():
@@ -59,10 +68,10 @@ def test_normal_concatenation_is_not_straightened():
 
 def test_hostile_word_needs_no_recursion():
     kernel.cache_clear()
-    result = kernel.straighten_word((1,) * 45 + (-1,) * 45)
+    result = _fractions(kernel.straighten_word((1,) * 45 + (-1,) * 45))
     assert result[(0, (-1,) * 45 + (1,) * 45)] == 1
     assert all(c.denominator == 1 for c in result.values())
-    assert kernel.insert_cache_size() < 2000
+    assert kernel.cache_size() < 2000  # 1124
     kernel.cache_clear()
 
 
@@ -97,7 +106,7 @@ def test_words_match_reference(fresh):
         if fresh:
             _clear()
         word = _word(rng)
-        assert kernel.straighten_word(word) == oracle.straighten_word(word), word
+        assert _straightened(word) == oracle.straighten_word(word), word
 
 
 @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-memo", "shared-memo"])
@@ -115,16 +124,28 @@ def test_products_and_actions_match_reference(fresh):
 
 def test_stripped_heads_are_reused_exactly():
     # d_3 into (-2, 1, 4, 4, 9): M runs 3, 3, 4 and 4 >= 4, so the memo key
-    # is (3, (-2, 1)) and the tail (4, 4, 9) is carried through unchanged;
-    # other tails reuse that entry and add none
+    # is the word (3, -2, 1) and the tail (4, 4, 9) is carried through
+    # unchanged; other tails reuse that entry, and each new word adds only
+    # its own
     _clear()
     word = (3, -2, 1, 4, 4, 9)
-    assert kernel.straighten_word(word) == oracle.straighten_word(word)
-    inserted = kernel.insert_cache_size()
+    assert _straightened(word) == oracle.straighten_word(word)
+    size = kernel.cache_size()
     for tail in [(4,), (5, 5), (4, 6, 100)]:
         word = (3, -2, 1) + tail
-        assert kernel.straighten_word(word) == oracle.straighten_word(word)
-    assert kernel.insert_cache_size() == inserted
+        assert _straightened(word) == oracle.straighten_word(word)
+        size += 1
+        assert kernel.cache_size() == size
+
+
+def test_insertion_and_word_share_one_entry():
+    # straightening (3, -2, 1, 4) inserts d_3 into (-2, 1) under the word
+    # (3, -2, 1), which is then that word's own normal form
+    _clear()
+    kernel.straighten_word((3, -2, 1, 4))
+    size = kernel.cache_size()
+    assert _straightened((3, -2, 1)) == oracle.straighten_word((3, -2, 1))
+    assert kernel.cache_size() == size
 
 
 letters = st.integers(-4, 4)
@@ -145,7 +166,7 @@ module_terms = st.dictionaries(
 def test_word_property(word, fresh):
     if fresh:
         _clear()
-    assert kernel.straighten_word(word) == oracle.straighten_word(word)
+    assert _straightened(word) == oracle.straighten_word(word)
 
 
 @settings(max_examples=100, deadline=None)
