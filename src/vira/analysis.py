@@ -7,20 +7,24 @@ the verifiers compute both sides of an identity and compare.  There is
 one sparse echelon over Q, each row pivoting on its smallest column.
 Spans, orbits and series run it in the columns' own order.
 
-The solver and ``nullspace()`` eliminate top-down: they number the
-unknowns from the last one down, so that each row pivots on its highest
-unknown, and insert the rows in increasing order of their largest column
-in that numbering, which keeps the fill small.  The nullspace found is
-then reduced to the canonical basis: 1 at each vector's largest unknown,
-0 at the other vectors' largest unknowns, in ascending order of it.  The
-canonical basis is unique, so no elimination order changes it.  Why: for
-a nonzero v in the nullspace N with largest nonzero unknown m, m is free
-in the echelon in the unknowns' own order (were m a pivot, its pivot row
-r, with entries at unknowns >= m and r_m = 1, would give r.v = v_m != 0),
-and the vector of each free unknown f solved through that echelon is 1
-at f and 0 past f.  So the largest unknowns of N are exactly those free
-unknowns F, a vector of N that vanishes on F is 0, and N has one basis
-that is the identity on F.
+The solver and ``nullspace()`` eliminate top-down, in
+``_top_down_nullspace``: it numbers the unknowns from the last one down,
+so that each row pivots on its highest unknown, and inserts the rows in
+increasing order of their largest column in that numbering, which keeps
+the fill small.  The nullspace found is then reduced, through the same
+echelon, to the canonical basis: 1 at each vector's largest unknown, 0
+at the other vectors' largest unknowns, in ascending order of it.  In
+the top-down numbering a vector's smallest column is its largest
+unknown, so the echelon's pivot is the canonical one, and
+back-substitution clears the rest.  The canonical basis is unique, so no
+elimination order changes it.  Why: for a nonzero v in the nullspace N
+with largest nonzero unknown m, m is free in the echelon in the
+unknowns' own order (were m a pivot, its pivot row r, with entries at
+unknowns >= m and r_m = 1, would give r.v = v_m != 0), and the vector of
+each free unknown f solved through that echelon is 1 at f and 0 past f.
+So the largest unknowns of N are exactly those free unknowns F, a vector
+of N that vanishes on F is 0, and N has one basis that is the identity
+on F.
 
 Results meant for display are wrapped in ``Report`` records that render
 either as aligned text or as the stable JSON shape
@@ -34,7 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .partitions import Pseudopartition, partition_counts, pseudopartitions_upto
+from .exprparse import MAX_EXPONENT
+from .partitions import MAX_PARTS, Pseudopartition, partition_counts, pseudopartitions_upto
 from .scalar import NEG_INF, Poly, poly_divmod, poly_ext_gcd, poly_linear_factorization, to_rational
 from .virasoro import UEAElement, commutator, merge_terms, poly_terms
 from .whittaker import ModuleContext, ModuleElement, act, dot_act
@@ -100,51 +105,41 @@ def _nullspace_from_pivots(pivots: dict, ncols: int) -> list[dict]:
     return basis
 
 
-def _canonical_basis(vectors: list[list]) -> list[tuple]:
-    """The basis of the span of the independent dense ``vectors`` that is
-    1 at each vector's largest index and 0 at the other vectors' largest
-    indices, in ascending order of that index: Gauss-Jordan elimination,
-    each vector pivoting on its largest index."""
-    rows: dict = {}
-    for v in vectors:
-        for lead, r in rows.items():
-            f = v[lead]
-            if f:
-                v = [x - f * y if y else x for x, y in zip(v, r)]
-        lead = max(j for j, x in enumerate(v) if x)
-        f = v[lead]
-        v = [x / f if x else x for x in v]
-        for other, r in rows.items():
-            g = r[lead]
-            if g:
-                rows[other] = [x - g * y if y else x for x, y in zip(r, v)]
-        rows[lead] = v
-    return [tuple(rows[lead]) for lead in sorted(rows)]
-
-
-def _top_down_nullspace(rows: list[dict], ncols: int) -> list[tuple]:
+def _top_down_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     """Canonical nullspace basis (see the module docstring) of sparse
-    rational rows in the elimination numbering, where unknown j of
-    ``ncols`` sits in column ncols - 1 - j.
+    rational rows over the unknowns 0 .. ncols - 1.
 
-    Each row pivots on its smallest column there, its highest unknown,
-    and the rows go in by increasing largest column.  The rows are
-    consumed.  The basis vectors are tuples over the unknowns in their
-    own order.
+    Each row is renumbered as it goes in, so that unknown j sits in column
+    ncols - 1 - j.  It then pivots on its smallest column there, its
+    highest unknown, and the rows go in by increasing largest column
+    (decreasing smallest unknown).  The rows are not modified.  The
+    nullspace vectors go through the same echelon, each pivoting on its
+    largest unknown, and back-substitution from the largest column down
+    clears every pivot column from the other vectors.  Returns sparse
+    vectors over the unknowns, in ascending order of their largest
+    unknown.
     """
+    last = ncols - 1
     pivots: dict = {}
-    for row in sorted((row for row in rows if row), key=max):
-        _echelon_insert(pivots, row)
-    vectors = [[vec.get(ncols - 1 - j, _ZERO) for j in range(ncols)]
-               for vec in _nullspace_from_pivots(pivots, ncols)]
-    return _canonical_basis(vectors)
+    for row in sorted((row for row in rows if row), key=min, reverse=True):
+        _echelon_insert(pivots, {last - j: v for j, v in row.items()})
+    basis: dict = {}
+    for vec in _nullspace_from_pivots(pivots, ncols):
+        _echelon_insert(basis, vec)
+    order = sorted(basis, reverse=True)
+    for c in order:
+        vec = basis[c]
+        for j in [j for j in vec if j != c and j in basis]:
+            f = vec[j]
+            merge_terms(vec, ((k, -f * v) for k, v in basis[j].items()))
+    return [{last - j: v for j, v in basis[c].items()} for c in order]
 
 
-def _sparse_rows(rows) -> tuple[list[dict], int]:
-    """A dense matrix, given as a list of rows, as sparse rational rows in
-    the elimination numbering (column j of n at n - 1 - j) and its column
-    count.  Entries go through ``to_rational``; ragged rows raise
-    ValueError."""
+def nullspace(rows) -> list[tuple]:
+    """Exact nullspace basis of a rational matrix, in canonical form
+    (1 at each vector's last nonzero column and 0 at the others' last
+    nonzero columns, in ascending order of that column).  Entries go
+    through ``to_rational``; ragged rows raise ValueError."""
     sparse = []
     ncols = None
     for row in rows:
@@ -153,22 +148,10 @@ def _sparse_rows(rows) -> tuple[list[dict], int]:
             ncols = len(row)
         elif len(row) != ncols:
             raise ValueError("matrix rows must have equal length")
-        sparse.append({ncols - 1 - j: v for j, v in enumerate(row) if v})
-    return sparse, ncols or 0
-
-
-def nullspace(rows) -> list[tuple]:
-    """Exact nullspace basis of a rational matrix, in canonical form
-    (1 at each vector's last nonzero column and 0 at the others' last
-    nonzero columns, in ascending order of that column)."""
-    return _top_down_nullspace(*_sparse_rows(rows))
-
-
-def rank(rows) -> int:
-    pivots: dict = {}
-    for row in _sparse_rows(rows)[0]:
-        _echelon_insert(pivots, row)
-    return len(pivots)
+        sparse.append({j: v for j, v in enumerate(row) if v})
+    ncols = ncols or 0
+    return [tuple(vec.get(j, _ZERO) for j in range(ncols))
+            for vec in _top_down_nullspace(sparse, ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +255,25 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
     The unknown vector ranges over the truncated basis; the conditions
     (d_1 and d_2 dot-annihilate it) are imposed on the full exact images,
     which may leave the truncated span -- so no spurious solutions arise
-    from discarded terms.  The equations are built directly in the
-    elimination numbering, the last basis key first, and solved top-down
-    over Q: each row pivots on its highest unknown, and the rows go in by
-    their lowest unknown, from the last down.  The nullspace is reduced
-    to the basis that is 1 at each vector's largest unknown and 0 at the
-    others'.  Those largest unknowns are the free unknowns of the echelon
-    in the keys' own order, and a nullspace vector that vanishes at all
-    of them is 0, so that basis is unique and no elimination order
-    changes it (see the module docstring).
+    from discarded terms.  Unknown i is the coefficient of the i-th basis
+    key.  The equations are solved top-down over Q: each row pivots on its
+    highest unknown, and the rows go in by their lowest unknown, from the
+    last down.  The nullspace is reduced to the basis that is 1 at each
+    vector's largest unknown and 0 at the others'.  Those largest
+    unknowns are the free unknowns of the echelon in the keys' own
+    order, and a nullspace vector that vanishes at all of them is 0, so
+    that basis is unique and no elimination order changes it (see the
+    module docstring).
     """
     keys = trunc.basis_keys(ctx)
-    last = len(keys) - 1
     equations: dict = {}
     for i, (t, parts) in enumerate(keys):
         b = ctx.basis_vector(t, parts)
         for n in (1, 2):
             for key2, c in dot_act(n, b)._terms.items():
-                equations.setdefault((n,) + key2, {})[last - i] = c
-    out = []
-    for vec in _top_down_nullspace(list(equations.values()), len(keys)):
-        terms = {keys[i]: c for i, c in enumerate(vec) if c}
-        out.append(ModuleElement._raw(ctx, terms))
-    return out
+                equations.setdefault((n,) + key2, {})[i] = c
+    return [ModuleElement._raw(ctx, {keys[i]: c for i, c in vec.items()})
+            for vec in _top_down_nullspace(list(equations.values()), len(keys))]
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +283,12 @@ def verify_leading_term(k: int, a: int, psi) -> Report:
     """Check the commutator of d_{k+2} against the a-th power of d_{-k}
     applied to w: the coefficient of d_{-k}^{a-1} w is -a(2k+2) psi_2 and
     the remainder is small (degree below k(a-1) for k > 0, d_0-power
-    below a-1 for k = 0)."""
+    below a-1 for k = 0).  d_{-k}^a is a word of a letters, so a is
+    capped at ``MAX_PARTS``, as ``--lam`` is."""
     if k < 0 or a < 1:
         raise ValueError("verify_leading_term requires k >= 0 and a >= 1")
+    if a > MAX_PARTS:
+        raise ValueError(f"verify_leading_term takes a <= {MAX_PARTS}, not {a}")
     ctx = ModuleContext.universal(psi)
     psi = ctx.psi
     lhs = act(
@@ -397,9 +379,13 @@ def verify_degree_bounds(m: int, lam, psi) -> Report:
 def verify_dot_span(n: int, i: int, lam, psi) -> Report:
     """Check that the dot action of d_n on z^i d_{-lam} w stays inside the
     span of z^j d_{-mu} w with |mu| + mu(0) <= |lam| + lam(0) and
-    j in {i, i+1}, and that it vanishes outright once n > |lam| + 2."""
+    j in {i, i+1}, and that it vanishes outright once n > |lam| + 2.
+    The z-power i is capped at ``MAX_EXPONENT``, as ``z^i`` is in the
+    expression language."""
     if n < 1 or i < 0:
         raise ValueError("verify_dot_span requires n >= 1 and i >= 0")
+    if i > MAX_EXPONENT:
+        raise ValueError(f"verify_dot_span takes i <= {MAX_EXPONENT}, not {i}")
     if not isinstance(lam, Pseudopartition):
         lam = Pseudopartition(lam)
     ctx = ModuleContext.universal(psi)

@@ -3,9 +3,13 @@
 Every engine operation is reachable through a verb; psi and the module
 context always come from flags, never from the expression itself, so
 expressions stay context-free.  Exit codes: 0 success, 1 a verify/solve
-assertion failed, 2 expression parse error, 3 domain error (zero psi,
-non-splitting polynomial, wrong context), 70 internal engine error or
-any other crash (one line on stderr, no traceback).
+assertion failed, 2 expression or usage parse error, 3 domain error (zero
+psi, a bad or oversized ``--lam``, ``verify leading --a`` above 1000 or
+``verify dotspan --i`` above 10^4, a non-splitting polynomial or an
+oversized rational-root search, a solve, series or orbit past its size
+cap, wrong context), 70 internal engine error or any other crash (one
+line on stderr, no traceback), 141 stdout closed before the output was
+written (nothing is printed).
 """
 
 from __future__ import annotations
@@ -52,18 +56,6 @@ EXIT_INTERNAL_ERROR = 70
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
-def _color_enabled() -> bool:
-    return sys.stdout.isatty() and os.environ.get("VIRA_COLOR", "1") != "0"
-
-
-def _status(passed: bool) -> str:
-    text = "PASS" if passed else "FAIL"
-    if _color_enabled():
-        code = "32" if passed else "31"
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
-
-
 def _emit_json(payload):
     print(json.dumps(payload, indent=2))
 
@@ -94,9 +86,7 @@ def _print_report(report: Report, json_mode: bool):
     if json_mode:
         _emit_json(report.json_dict())
         return
-    headline = report.headline()
-    status, _, rest = headline.partition("  ")
-    print(f"{_status(report.passed)}  {rest}")
+    print(report.headline())
     for key, value in report.witness.items():
         if key == "elements":
             continue
@@ -157,7 +147,7 @@ def cmd_solve(args) -> int:
             for b in basis:
                 print(f"  {b}")
         if args.expect_dim is not None:
-            print(f"{_status(passed)}  expected dimension {args.expect_dim}")
+            print(f"{'PASS' if passed else 'FAIL'}  expected dimension {args.expect_dim}")
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -196,7 +186,7 @@ def _verify_all(args) -> int:
     else:
         width = max(len(r.check) for r in reports)
         for r in reports:
-            print(f"{_status(r.passed)}  {r.check.ljust(width)}  "
+            print(f"{'PASS' if r.passed else 'FAIL'}  {r.check.ljust(width)}  "
                   + " ".join(f"{k}={jsonify(v)}" for k, v in r.params.items()))
         passed = sum(1 for r in reports if r.passed)
         print(f"{passed}/{len(reports)} checks passed (kernel: {kernel.IMPL})")

@@ -20,13 +20,6 @@ if str(PERFBENCH) not in sys.path:
 
 from workloads import sl2_problems  # noqa: E402
 
-pytestmark = pytest.mark.usefixtures("plain_output")
-
-
-@pytest.fixture
-def plain_output(monkeypatch):
-    monkeypatch.setenv("VIRA_COLOR", "0")
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -191,6 +184,9 @@ class TestVerify:
         ("dotspan", "--n", "1", "--i", "0", "--lam", "(1^1000)"),
         ("degree", "--m", "3", "--lam", "(1^1000)"),
         ("degree", "--m", "2", "--lam", "(0^300)"),
+        # the integer flags at their caps
+        ("leading", "--k", "1", "--a", "1000"),
+        ("dotspan", "--n", "1", "--i", "10000", "--lam", "(1)"),
     ])
     def test_long_lam_within_the_cap_runs(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
@@ -203,6 +199,22 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err == "domain error: pseudopartition has more than 1000 parts\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("leading", "--k", "1", "--a", "100000"), "verify_leading_term takes a <= 1000, not 100000"),
+        (("leading", "--k", "1", "--a", "1001"), "verify_leading_term takes a <= 1000, not 1001"),
+        (("dotspan", "--n", "1", "--i", "10000000000", "--lam", "(1)"),
+         "verify_dot_span takes i <= 10000, not 10000000000"),
+        (("dotspan", "--n", "1", "--i", "10001", "--lam", "(1)"),
+         "verify_dot_span takes i <= 10000, not 10001"),
+    ])
+    def test_hostile_integer_flag_is_domain_error(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert err == f"domain error: {message}\n"
 
     def test_vector_failure_is_exit_one(self, capsys):
         code, out, _ = run(capsys, "verify", "vector", "d-1*w", "--module", "M")
