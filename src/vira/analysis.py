@@ -3,9 +3,14 @@
 Everything here reduces to exact rational computation: the Whittaker
 solver builds its constraint system from exact dot-action images (the
 truncation only restricts the search space, never the equations), and
-the verifiers compute both sides of an identity and compare.  There is
-one sparse echelon over Q, each row pivoting on its smallest column.
-Spans, orbits and series run it in the columns' own order.
+the verifiers compute both sides of an identity and compare.  The solver
+acts once per partition lam and mode n, on d_{-lam} w in the universal
+module, and takes the column of each key z^t d_{-lam} w as z^t times
+that image, reduced into the context.  That is exact: z is central, so
+d_n - psi_n commutes with z^t, and the quotient by p(z) w is a module
+map, so reducing commutes with the action.  There is one sparse
+echelon over Q, each row pivoting on its smallest column.  Spans,
+orbits and series run it in the columns' own order.
 
 The solver and ``nullspace()`` eliminate top-down, in
 ``_top_down_nullspace``: it numbers the unknowns from the last one down,
@@ -114,17 +119,19 @@ def _top_down_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     highest unknown, and the rows go in by increasing largest column
     (decreasing smallest unknown).  The rows are not modified.  The
     nullspace vectors go through the same echelon, each pivoting on its
-    largest unknown, and back-substitution from the largest column down
-    clears every pivot column from the other vectors.  Returns sparse
-    vectors over the unknowns, in ascending order of their largest
-    unknown.
+    largest unknown, last free column first: in ascending order, the
+    vectors of one dense row each walk a chain through every vector
+    installed before them.  Back-substitution from the largest column
+    down then clears every pivot column from the other vectors.  Returns
+    sparse vectors over the unknowns, in ascending order of their
+    largest unknown.
     """
     last = ncols - 1
     pivots: dict = {}
     for row in sorted((row for row in rows if row), key=min, reverse=True):
         _echelon_insert(pivots, {last - j: v for j, v in row.items()})
     basis: dict = {}
-    for vec in _nullspace_from_pivots(pivots, ncols):
+    for vec in reversed(_nullspace_from_pivots(pivots, ncols)):
         _echelon_insert(basis, vec)
     order = sorted(basis, reverse=True)
     for c in order:
@@ -256,6 +263,13 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
     (d_1 and d_2 dot-annihilate it) are imposed on the full exact images,
     which may leave the truncated span -- so no spurious solutions arise
     from discarded terms.  Unknown i is the coefficient of the i-th basis
+    key z^t d_{-lam} w.  Its column for mode n is z^t times the image
+    d_n . d_{-lam} w in the universal module, reduced into the context by
+    ``reduce_raw``, so the module action runs once per partition and
+    mode, not once per key.  That is exact: z is central, so the dot
+    action commutes with multiplication by z^t, and the map from the
+    universal module onto its quotient by p(z) w is a module map, so
+    reducing the shifted universal image gives the image of the reduced
     key.  The equations are solved top-down over Q: each row pivots on its
     highest unknown, and the rows go in by their lowest unknown, from the
     last down.  The nullspace is reduced to the basis that is 1 at each
@@ -266,11 +280,17 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
     module docstring).
     """
     keys = trunc.basis_keys(ctx)
+    universal = ModuleContext.universal(ctx.psi)
     equations: dict = {}
+    last = images = None
     for i, (t, parts) in enumerate(keys):
-        b = ctx.basis_vector(t, parts)
-        for n in (1, 2):
-            for key2, c in dot_act(n, b)._terms.items():
+        if parts != last:  # the keys are partition-major
+            b = universal.basis_vector(0, parts)
+            images = [(n, dot_act(n, b)._terms) for n in (1, 2)]
+            last = parts
+        for n, image in images:
+            column = ctx.reduce_raw({(s + t, lam): c for (s, lam), c in image.items()})
+            for key2, c in column.items():
                 equations.setdefault((n,) + key2, {})[i] = c
     return [ModuleElement._raw(ctx, {keys[i]: c for i, c in vec.items()})
             for vec in _top_down_nullspace(list(equations.values()), len(keys))]

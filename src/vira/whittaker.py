@@ -118,30 +118,30 @@ class ModuleContext:
         """Number of stored z-powers per pseudopartition (None if unbounded)."""
         return None if self.p is None else int(self.p.degree)
 
-    def z_rep(self, t: int) -> tuple:
-        """Representative of z^t: ((power, coeff), ...) with powers < deg p."""
-        if self.p is None:
-            return ((t, _ONE),)
+    def _z_rep(self, t: int) -> tuple:
+        """Remainder of z^t modulo p, as ((power, coeff), ...) with
+        powers < deg p; memoized per t."""
         rep = self._zreps.get(t)
         if rep is None:
-            if t < self.p.degree:
-                rep = ((t, _ONE),)
-            else:
-                _, r = poly_divmod(Poly((0,) * t + (1,)), self.p)
-                rep = tuple((i, c) for i, c in enumerate(r.coeffs) if c)
-            self._zreps[t] = rep
+            _, r = poly_divmod(Poly((0,) * t + (1,)), self.p)
+            rep = self._zreps[t] = tuple((i, c) for i, c in enumerate(r.coeffs) if c)
         return rep
 
     def reduce_raw(self, raw: dict) -> dict:
-        """Reduce universal-module terms into this context."""
+        """Reduce universal-module terms into this context.  In the
+        universal module that is ``raw`` itself, not a copy."""
         if self.p is None:
-            return dict(raw)
+            return raw
+        deg = self.p.degree
         out: dict = {}
         for (t, parts), c in raw.items():
-            for power, pc in self.z_rep(t):
-                key = (power, parts)
+            if t < deg:
+                terms = (((t, parts), c),)
+            else:
+                terms = [((power, parts), c * pc) for power, pc in self._z_rep(t)]
+            for key, v in terms:
                 cur = out.get(key)
-                total = c * pc if cur is None else cur + c * pc
+                total = v if cur is None else cur + v
                 if total:
                     out[key] = total
                 else:
@@ -292,7 +292,11 @@ def dot_act(n: int, v: ModuleElement) -> ModuleElement:
     """The psi-shifted action d_n . v = (d_n - psi(d_n)) v, for n >= 1."""
     if n < 1:
         raise ValueError("the dot action is defined for positive modes only")
-    return act(UEAElement({(0, (n,)): 1, (0, ()): -v.context.psi.value(n)}), v)
+    terms = {(0, (n,)): _ONE}
+    psi_n = v.context.psi.value(n)
+    if psi_n:
+        terms[(0, ())] = -psi_n
+    return act(UEAElement._raw(terms), v)
 
 
 def is_whittaker_vector(v: ModuleElement) -> bool:

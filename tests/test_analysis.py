@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vira import analysis
+from vira import analysis, kernel
 from vira.analysis import (
     MAX_UNKNOWNS,
     TruncationSpec,
@@ -157,6 +157,12 @@ class TestCertifiedNullspace:
         assert time.perf_counter() - start < 4
         assert basis == exact_nullspace(rows)
 
+    def test_dense_row_gives_differences_of_unit_vectors(self):
+        # the canonical basis of one dense row is e_j - e_0, j = 1 .. n-1
+        n = 400
+        expected = [tuple(-1 if k == 0 else int(k == j) for k in range(n)) for j in range(1, n)]
+        assert nullspace([[1] * n]) == expected
+
     @settings(max_examples=100, deadline=None)
     @given(rational_matrices(), st.randoms(use_true_random=False))
     def test_row_order_is_irrelevant(self, rows, rng):
@@ -232,6 +238,30 @@ def test_solver_fill_stays_small(monkeypatch):
     ctx = ModuleContext.central_quotient(PSI, 0)
     assert len(whittaker_solve(ctx, TruncationSpec(12, 3, 0))) == 1
     assert len(fill) == 1088 and sum(fill) < 3000
+
+
+@pytest.mark.parametrize("descriptor, trunc", [
+    ("Q:p=(z-1)^2*(z+3)", TruncationSpec(5, 2, 0)),
+    ("M", TruncationSpec(5, 2, 2)),
+])
+def test_solver_acts_once_per_partition_and_mode(monkeypatch, descriptor, trunc):
+    # z is central, so the keys z^t d_{-lam} w of one partition share the
+    # images of d_{-lam} w under d_1 and d_2; each of these windows has 3
+    # z-powers per partition
+    calls = []
+    original = kernel.act_terms
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "act_terms", spy)
+    ctx = ModuleContext.parse_descriptor(descriptor, PSI2)
+    keys = trunc.basis_keys(ctx)
+    partitions = {parts for _, parts in keys}
+    assert len(keys) == 3 * len(partitions)
+    whittaker_solve(ctx, trunc)
+    assert len(calls) == 2 * len(partitions)
 
 
 class TestTruncationSpec:

@@ -188,12 +188,21 @@ class TestDotAction:
         assert dot_act(1, M.basis_vector(0, (1,))) == -2 * M.basis_vector(0, (0,))
 
     def test_z_linearity(self):
+        # z is central: the image of z^i d_{-lam} w is z^i times that of
+        # d_{-lam} w, in M and in L_xi; in a quotient by p it is reduce_raw
+        # of the shifted universal image, whose powers pass deg p = 3 here
         M = universal()
+        Q = ModuleContext.quotient(PSI, Poly.z_minus(2) ** 2 * Poly.z_minus(Fraction(-1, 3)))
         for lam in ((1,), (0, 2), (1, 1)):
             for n in (1, 2, 3):
-                for i in (1, 2):
-                    lifted = act(UEAElement.z_power(i), dot_act(n, M.basis_vector(0, lam)))
-                    assert dot_act(n, M.basis_vector(i, lam)) == lifted
+                for ctx in (M, central(Fraction(5, 7))):
+                    for i in (1, 2):
+                        lifted = act(UEAElement.z_power(i), dot_act(n, ctx.basis_vector(0, lam)))
+                        assert dot_act(n, ctx.basis_vector(i, lam)) == lifted
+                image = dot_act(n, M.basis_vector(0, lam))._terms
+                for t in range(1, 5):
+                    shifted = {(s + t, parts): c for (s, parts), c in image.items()}
+                    assert Q.reduce_raw(shifted) == dot_act(n, Q.basis_vector(t, lam))._terms
 
     def test_vanishing_beyond_bound(self):
         M = universal()
