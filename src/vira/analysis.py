@@ -12,6 +12,16 @@ map, so reducing commutes with the action.  There is one sparse
 echelon over Q, each row pivoting on its smallest column.  Spans,
 orbits and series run it in the columns' own order.
 
+The composition series spans each level by the z-shifts of one
+polynomial.  Its generators (z - xi)^i w have only lam = () terms, and
+the image of a window key z^t d_{-lam} under (z - xi)^{i+1} w is
+z^t (z - xi)^{i+1} d_{-lam} w, supported on lam alone (z is central,
+d_{-lam} w a basis vector).  The echelon combines a row only with the
+pivot row at its smallest column, so rows of different lam never mix,
+and a generator meets only the lam = () rows: z^t (z - xi)^{i+1} w,
+t < a.  Those rows alone decide each proper inclusion, and the window
+enters the series only through its central-quotient solve.
+
 The solver and ``nullspace()`` eliminate top-down, in
 ``_top_down_nullspace``: it numbers the unknowns from the last one down,
 so that each row pivots on its highest unknown, and inserts the rows in
@@ -531,7 +541,18 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     the (truncated) span of the next level, that the top generator is
     zero, and that each successive quotient has a one-dimensional space of
     Whittaker vectors.  Each successive quotient is canonically the
-    central quotient at xi, which is where the solver runs.
+    central quotient at xi, which is where the solver runs; that solve is
+    the only place the window enters.
+
+    Level i + 1 is spanned by the rows z^t gen_{i+1}, t < a: its terms
+    shifted by t and reduced modulo (z - xi)^a.  The window's other images
+    cannot change an inclusion.  gen_{i+1} = (z - xi)^{i+1} w has only
+    lam = () terms; z is central and d_{-lam} w is a basis vector, so the
+    image of a window key (t, lam) is z^t (z - xi)^{i+1} d_{-lam} w reduced
+    modulo (z - xi)^a, supported on lam alone.  The echelon only combines
+    a row with the pivot row at its smallest column, so rows of different
+    lam never mix, and gen_i, at lam = (), meets only the lam = () rows:
+    the keys (t, ()), t < a, in the same order.
     """
     if a < 1:
         raise ValueError("composition_series requires a >= 1")
@@ -539,14 +560,13 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     xi = to_rational(xi)
     if trunc is None:
         trunc = TruncationSpec()
-    # the quotient by (z - xi)^a keeps a z-powers, and every level but the
-    # top eliminates the window once: refuse before (z - xi)^a is built
+    # the cap bounds building (z - xi)^a and the a dense rows of each
+    # level, so it is checked before (z - xi)^a is built
     window = trunc.unknowns(a)
     if a * window > MAX_UNKNOWNS:
-        raise ValueError(f"composition series eliminates a x window = {a} x {window} "
+        raise ValueError(f"composition series spans a x window = {a} x {window} "
                          f"unknowns, more than {MAX_UNKNOWNS}")
     ctx = ModuleContext.quotient(psi, Poly.z_minus(xi) ** a)
-    keys = trunc.basis_keys(ctx)
     quotient_dim = len(whittaker_solve(ModuleContext.central_quotient(psi, xi), trunc))
     generators = [ctx.poly_vector(Poly.z_minus(xi) ** i) for i in range(a + 1)]
     levels = []
@@ -555,12 +575,10 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
             nonzero_ok, proper, dim = gen.is_zero(), True, None
         else:
             pivots: dict = {}
-            nxt = generators[i + 1]
-            if not nxt.is_zero():
-                for (t, parts) in keys:
-                    img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), nxt)
-                    if img:
-                        _echelon_insert(pivots, dict(img._terms))
+            nxt = generators[i + 1]._terms
+            for t in range(a):
+                shifted = {(s + t, lam): c for (s, lam), c in nxt.items()}
+                _echelon_insert(pivots, ctx.reduce_raw(shifted))
             proper = _echelon_insert(pivots, dict(gen._terms)) is not None
             nonzero_ok, dim = not gen.is_zero(), quotient_dim
         levels.append({"i": i, "generator": str(gen), "nonzero_ok": nonzero_ok,

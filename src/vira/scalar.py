@@ -44,12 +44,18 @@ def power(base, n: int, one):
 def to_rational(value) -> Fraction:
     """Coerce ints, Fractions, and strings like ``-3/2`` to Fraction.
 
-    Floats are rejected: exactness is a hard requirement.
+    Floats are rejected: exactness is a hard requirement.  A string with
+    a zero denominator raises DomainError naming the text.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

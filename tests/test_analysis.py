@@ -27,6 +27,7 @@ from vira.errors import NotSplitError
 from vira.exprparse import parse_module, parse_poly
 from vira.partitions import Pseudopartition, partition_counts
 from vira.scalar import Poly
+from vira.suite import PSI_SAMPLES
 from vira.virasoro import UEAElement, d, straighten
 from vira.whittaker import (
     ModuleContext,
@@ -515,6 +516,52 @@ class TestCompositionSeries:
         generators = self._generators(series, PSI, 0, 3)
         assert generators[3].is_zero()
         assert not generators[2].is_zero()
+
+    @staticmethod
+    def _full_window_inclusions(psi, xi, a, trunc):
+        """Each level's proper inclusion with its span built over the whole
+        window: every key z^t d_{-lam} acts on gen_{i+1}, and the images go
+        through one echelon per level."""
+        ctx = ModuleContext.quotient(psi, Poly.z_minus(xi) ** a)
+        keys = trunc.basis_keys(ctx)
+        generators = [ctx.poly_vector(Poly.z_minus(xi) ** i) for i in range(a + 1)]
+        proper = []
+        for i in range(a):
+            pivots: dict = {}
+            for t, parts in keys:
+                img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), generators[i + 1])
+                if img:
+                    analysis._echelon_insert(pivots, dict(img._terms))
+            proper.append(analysis._echelon_insert(pivots, dict(generators[i]._terms)) is not None)
+        return proper + [True]
+
+    @pytest.mark.parametrize("psi", PSI_SAMPLES)
+    @pytest.mark.parametrize("xi", [0, Fraction(5, 7), -1])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    @pytest.mark.parametrize("maxdeg, zerocap", [(0, 0), (0, 2), (2, 0), (2, 2), (3, 0), (3, 2)])
+    def test_z_shift_spans_match_full_window(self, psi, xi, a, maxdeg, zerocap):
+        # the generators live at lam = (), and rows of different lam never
+        # mix in the echelon, so the z-shifts decide every inclusion
+        trunc = TruncationSpec(maxdeg, zerocap)
+        report = composition_series(psi, xi, a, trunc)
+        assert [lv["proper_inclusion"] for lv in report.witness["levels"]] == \
+            self._full_window_inclusions(psi, xi, a, trunc)
+
+    def test_kernel_acts_only_in_the_solve(self, monkeypatch):
+        calls = []
+        original = kernel.act_terms
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernel, "act_terms", spy)
+        trunc = TruncationSpec(3, 2)
+        composition_series(PSI, 1, 3, trunc)
+        series_calls = len(calls)
+        calls.clear()
+        whittaker_solve(ModuleContext.central_quotient(PSI, 1), trunc)
+        assert series_calls == len(calls) > 0
 
     def test_extraction_lands_in_expected_layer(self):
         # a Whittaker vector extracted from a chain layer is q(z) w with

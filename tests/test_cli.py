@@ -95,6 +95,17 @@ class TestAct:
         code, _, _ = run(capsys, "series", "--xi", "-1/2", "--a", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["series", "--xi", "1/0", "--a", "2"],
+        ["act", "--psi1", "1/0", "d1", "w"],
+        ["act", "--module", "L:xi=1/0", "d1", "w"],
+    ])
+    def test_zero_denominator_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: zero denominator in '1/0'\n"
+
 
 class TestSolve:
     def test_central_quotient_line(self, capsys):
