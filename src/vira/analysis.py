@@ -20,7 +20,15 @@ d_{-lam} w a basis vector).  The echelon combines a row only with the
 pivot row at its smallest column, so rows of different lam never mix,
 and a generator meets only the lam = () rows: z^t (z - xi)^{i+1} w,
 t < a.  Those rows alone decide each proper inclusion, and the window
-enters the series only through its central-quotient solve.
+enters the series only through its central-quotient solve.  They are
+multiplication in Q[z]/(p), p = (z - xi)^a, a quotient of a principal
+ideal domain: every class has a representative of degree below a, so
+the rows span {q g mod p : q in Q[z]} = ((g) + (p))/(p) = (d)/(p) with
+g = (z - xi)^{i+1} and d = gcd(g, p).  (z - xi)^i has degree i < a, so
+it is its own reduction, and it lies in (d)/(p) exactly when its
+remainder by d is zero.  One exact gcd and one exact remainder over Q
+decide each level, with no elimination and no (z - xi)-adic valuation
+assumed.
 
 The solver and ``nullspace()`` eliminate top-down, in
 ``_top_down_nullspace``: it numbers the unknowns from the last one down,
@@ -446,7 +454,8 @@ def verify_dot_span(n: int, i: int, lam, psi) -> Report:
 # orbit closure
 
 #: Most vectors an orbit's spanning set may hold (``d-1^15*w`` needs
-#: 136); the set is checked as it grows, so a larger orbit stops early.
+#: 136); the set is checked as each vector is found, so a larger orbit
+#: stops early.
 MAX_ORBIT = 150
 
 
@@ -456,26 +465,24 @@ def dot_orbit_dimension(v: ModuleElement) -> tuple[int, list[ModuleElement]]:
 
     Modes above maxdeg + 2 act as zero on every term, so the closure uses
     only finitely many modes per element and stabilizes at finite
-    dimension.  A spanning set that grows past ``MAX_ORBIT`` vectors
+    dimension.  Each image goes into the echelon as soon as it is
+    computed, and only an independent one is kept and acted on in turn,
+    breadth first.  A spanning set that grows past ``MAX_ORBIT`` vectors
     raises ValueError.
     """
     if v.is_zero():
         raise ValueError("dot_orbit_dimension requires a nonzero element")
     pivots: dict = {}
-    spanning: list[ModuleElement] = []
-    queue = [v]
-    while queue:
-        cur = queue.pop(0)
-        if _echelon_insert(pivots, dict(cur._terms)) is None:
-            continue
-        spanning.append(cur)
-        if len(spanning) > MAX_ORBIT:
-            raise ValueError(f"orbit spans more than {MAX_ORBIT} vectors")
-        cutoff = int(cur.maxdeg()) + 2
-        for n in range(1, cutoff + 1):
+    spanning = [v]
+    _echelon_insert(pivots, dict(v._terms))
+    for cur in spanning:  # grows as the walk goes
+        for n in range(1, int(cur.maxdeg()) + 3):
             img = dot_act(n, cur)
-            if img:
-                queue.append(img)
+            if _echelon_insert(pivots, dict(img._terms)) is None:
+                continue
+            spanning.append(img)
+            if len(spanning) > MAX_ORBIT:
+                raise ValueError(f"orbit spans more than {MAX_ORBIT} vectors")
     return len(spanning), spanning
 
 
@@ -538,48 +545,44 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     (z - xi)^a.
 
     Verifies that each generator below the top is nonzero and lies outside
-    the (truncated) span of the next level, that the top generator is
-    zero, and that each successive quotient has a one-dimensional space of
-    Whittaker vectors.  Each successive quotient is canonically the
-    central quotient at xi, which is where the solver runs; that solve is
-    the only place the window enters.
+    the span of the next level, that the top generator is zero, and that
+    each successive quotient has a one-dimensional space of Whittaker
+    vectors.  Each successive quotient is canonically the central quotient
+    at xi, which is where the solver runs; that solve is the only place
+    the window enters.
 
-    Level i + 1 is spanned by the rows z^t gen_{i+1}, t < a: its terms
-    shifted by t and reduced modulo (z - xi)^a.  The window's other images
-    cannot change an inclusion.  gen_{i+1} = (z - xi)^{i+1} w has only
-    lam = () terms; z is central and d_{-lam} w is a basis vector, so the
-    image of a window key (t, lam) is z^t (z - xi)^{i+1} d_{-lam} w reduced
-    modulo (z - xi)^a, supported on lam alone.  The echelon only combines
-    a row with the pivot row at its smallest column, so rows of different
-    lam never mix, and gen_i, at lam = (), meets only the lam = () rows:
-    the keys (t, ()), t < a, in the same order.
+    With g_j = (z - xi)^j and p = g_a, gen_i = g_i w meets only the
+    lam = () rows of the next level, z^t g_{i+1} mod p, t < a (the block
+    argument is in the module docstring).  Those rows are multiplication
+    in Q[z]/(p).  Every class there has a representative of degree below
+    a = deg p, so they span {q g_{i+1} mod p : q in Q[z]} =
+    ((g_{i+1}) + (p))/(p) = (d)/(p), with d = gcd(g_{i+1}, p).  g_i has
+    degree i < a, so it is its own reduction, and it lies in (d)/(p)
+    exactly when d divides it: the inclusion is proper exactly when
+    g_i mod d is nonzero.  The gcd and the remainder are exact over Q,
+    and the verdict is an exact equality; no (z - xi)-adic valuation is
+    assumed.  That is O(a^3) work whatever the window, and a x a over
+    ``MAX_UNKNOWNS`` (a > 70) is refused before any polynomial is built.
     """
     if a < 1:
         raise ValueError("composition_series requires a >= 1")
     psi = ModuleContext.universal(psi).psi  # psi errors come before xi errors
     xi = to_rational(xi)
-    if trunc is None:
-        trunc = TruncationSpec()
-    # the cap bounds building (z - xi)^a and the a dense rows of each
-    # level, so it is checked before (z - xi)^a is built
-    window = trunc.unknowns(a)
-    if a * window > MAX_UNKNOWNS:
-        raise ValueError(f"composition series spans a x window = {a} x {window} "
-                         f"unknowns, more than {MAX_UNKNOWNS}")
-    ctx = ModuleContext.quotient(psi, Poly.z_minus(xi) ** a)
-    quotient_dim = len(whittaker_solve(ModuleContext.central_quotient(psi, xi), trunc))
-    generators = [ctx.poly_vector(Poly.z_minus(xi) ** i) for i in range(a + 1)]
+    if a * a > MAX_UNKNOWNS:
+        raise ValueError(f"composition series has a x a = {a} x {a}, "
+                         f"more than {MAX_UNKNOWNS}")
+    g = [Poly.z_minus(xi) ** i for i in range(a + 1)]
+    p = g[a]
+    ctx = ModuleContext.quotient(psi, p)
+    quotient_dim = len(whittaker_solve(ModuleContext.central_quotient(psi, xi),
+                                       trunc or TruncationSpec()))
     levels = []
-    for i, gen in enumerate(generators):
+    for i, g_i in enumerate(g):
+        gen = ctx.poly_vector(g_i)
         if i == a:
             nonzero_ok, proper, dim = gen.is_zero(), True, None
         else:
-            pivots: dict = {}
-            nxt = generators[i + 1]._terms
-            for t in range(a):
-                shifted = {(s + t, lam): c for (s, lam), c in nxt.items()}
-                _echelon_insert(pivots, ctx.reduce_raw(shifted))
-            proper = _echelon_insert(pivots, dict(gen._terms)) is not None
+            proper = bool(g_i % poly_ext_gcd(g[i + 1], p)[0])
             nonzero_ok, dim = not gen.is_zero(), quotient_dim
         levels.append({"i": i, "generator": str(gen), "nonzero_ok": nonzero_ok,
                        "proper_inclusion": proper, "quotient_whittaker_dim": dim})

@@ -10,6 +10,7 @@ rational-root theorem.  Floating point is never used.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -41,17 +42,26 @@ def power(base, n: int, one):
     return result
 
 
+#: The string forms of a rational: an integer or a fraction (``-3/2``),
+#: or a decimal (``.5``, ``-1.25``).  No exponent: ``1e1000000000`` would
+#: be expanded to a billion digits.
+_RATIONAL_TEXT = re.compile(r"[+-]?\d+(/\d+)?|[+-]?\d*\.\d+", re.ASCII)
+
+
 def to_rational(value) -> Fraction:
     """Coerce ints, Fractions, and strings like ``-3/2`` to Fraction.
 
-    Floats are rejected: exactness is a hard requirement.  A string with
-    a zero denominator raises DomainError naming the text.
+    Floats are rejected: exactness is a hard requirement.  A string that
+    is not an integer, a fraction or a decimal, or that has a zero
+    denominator, raises DomainError naming the text.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL_TEXT.fullmatch(value):
+            raise DomainError(f"not an exact rational: {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

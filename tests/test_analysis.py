@@ -547,21 +547,34 @@ class TestCompositionSeries:
         assert [lv["proper_inclusion"] for lv in report.witness["levels"]] == \
             self._full_window_inclusions(psi, xi, a, trunc)
 
-    def test_kernel_acts_only_in_the_solve(self, monkeypatch):
+    @staticmethod
+    def _series_and_solve_calls(monkeypatch, module, name):
+        """Calls to ``module.name`` made by one series and by its
+        central-quotient solve alone."""
         calls = []
-        original = kernel.act_terms
+        original = getattr(module, name)
 
         def spy(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(kernel, "act_terms", spy)
+        monkeypatch.setattr(module, name, spy)
         trunc = TruncationSpec(3, 2)
         composition_series(PSI, 1, 3, trunc)
         series_calls = len(calls)
         calls.clear()
         whittaker_solve(ModuleContext.central_quotient(PSI, 1), trunc)
-        assert series_calls == len(calls) > 0
+        return series_calls, len(calls)
+
+    def test_kernel_acts_only_in_the_solve(self, monkeypatch):
+        series_calls, solve_calls = self._series_and_solve_calls(monkeypatch, kernel, "act_terms")
+        assert series_calls == solve_calls > 0
+
+    def test_echelon_runs_only_in_the_solve(self, monkeypatch):
+        # each level is a gcd and a remainder in Q[z], not an elimination
+        series_calls, solve_calls = self._series_and_solve_calls(
+            monkeypatch, analysis, "_echelon_insert")
+        assert series_calls == solve_calls > 0
 
     def test_extraction_lands_in_expected_layer(self):
         # a Whittaker vector extracted from a chain layer is q(z) w with

@@ -27,15 +27,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, stdout=subprocess.PIPE, **env):
+def run_process(*argv, stdout=subprocess.PIPE, timeout=None, **env):
     """``python -m vira *argv`` in a child that imports the same package
-    as this test run, installed or not; ``env`` adds to its environment."""
+    as this test run, installed or not; ``env`` adds to its environment.
+    A child still running after ``timeout`` seconds is killed and the
+    test fails with ``subprocess.TimeoutExpired``, so a hang costs
+    seconds, not the whole job."""
     src = os.path.dirname(os.path.dirname(vira.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
     return subprocess.run(
         [sys.executable, "-m", "vira", *argv], stdout=stdout, stderr=subprocess.PIPE,
-        text=True, env=env,
+        text=True, env=env, timeout=timeout,
     )
 
 
@@ -106,6 +109,21 @@ class TestAct:
         assert out == ""
         assert err == "domain error: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize("argv, text", [
+        (["act", "--psi1", "1e1000000000", "d1", "w"], "1e1000000000"),
+        (["act", "--psi1", "1e-1000000000", "d1", "w"], "1e-1000000000"),
+        (["act", "--psi2", "1e10000000", "d1", "w"], "1e10000000"),
+        (["act", "--module", "L:xi=1e1000000000", "d1", "w"], "1e1000000000"),
+        (["series", "--xi", "1e1000000000", "--a", "1"], "1e1000000000"),
+    ], ids=["psi1", "psi1-negative-exponent", "psi2", "L-xi", "series-xi"])
+    def test_exponent_notation_is_domain_error(self, argv, text):
+        # these ran past 30 s (1e10000000 took 9 s to fail): Fraction
+        # expands the exponent into digits
+        proc = run_process(*argv, timeout=20)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"domain error: not an exact rational: {text!r}\n"
+
 
 class TestSolve:
     def test_central_quotient_line(self, capsys):
@@ -140,7 +158,6 @@ class TestSolve:
         ["solve", "--module", "M", "--psi1", "1", "--psi2", "1",
          "--maxdeg", "80", "--zerocap", "0", "--zcap", "0"],
         ["series", "--xi", "1", "--a", "2", "--maxdeg", "80"],
-        ["series", "--xi", "1", "--a", "300"],
     ])
     def test_oversized_window_is_domain_error(self, capsys, argv):
         # these once ran out of memory or past a 30 s timeout
@@ -286,9 +303,10 @@ class TestSeries:
         assert code == 0
         assert out.startswith("PASS")
 
-    @pytest.mark.parametrize("a", ["30", "3000"])
+    @pytest.mark.parametrize("a", ["71", "300", "3000"])
     def test_series_beyond_a_times_window_is_domain_error(self, capsys, a):
-        # --a 30 took 19.7 s; --a 3000 spent 14 s building (z - 1)^3000
+        # a x a over 5000 is refused whatever the window, before
+        # (z - 1)^a is built: --a 3000 once spent 14 s building it
         start = time.perf_counter()
         code, out, err = run(capsys, "series", "--xi", "1", "--a", a)
         assert time.perf_counter() - start < 1
@@ -299,10 +317,22 @@ class TestSeries:
         assert len(err.splitlines()) == 1
 
     def test_series_within_a_times_window_passes(self, capsys):
-        # 11 x (11 x 36) = 4356 unknowns in the default window
-        code, out, _ = run(capsys, "series", "--xi", "1", "--a", "11")
-        assert code == 0
-        assert out.startswith("PASS")
+        # --a 30 was refused while the cap bounded a x window (30 x 1080)
+        for a in ("11", "30"):
+            code, out, _ = run(capsys, "series", "--xi", "1", "--a", a)
+            assert code == 0
+            assert out.startswith("PASS")
+
+    @pytest.mark.parametrize("argv", [
+        ["--a", "70", "--maxdeg", "0", "--zerocap", "0"],
+        ["--a", "70"],
+    ], ids=["smallest-window", "default-window"])
+    def test_series_at_the_cap_runs_in_seconds(self, argv):
+        # the smallest window took 25 s while each level eliminated its
+        # a x a rows; a gcd and a remainder in Q[z] decide it now
+        proc = run_process("series", "--xi", "1", *argv, timeout=20)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("PASS")
 
 
 class TestAnnihilate:
@@ -349,6 +379,13 @@ class TestOrbit:
         assert code == 3
         assert out == ""
         assert err == "domain error: orbit spans more than 150 vectors\n"
+        # d-1000*w took 5 s and d-100000*w ran past 60 s while every image
+        # was computed before the cap was checked
+        for expr in ("d-1000*w", "d-100000*w"):
+            proc = run_process("orbit", "--module", "M", expr, timeout=20)
+            assert proc.returncode == 3
+            assert proc.stdout == ""
+            assert proc.stderr == "domain error: orbit spans more than 150 vectors\n"
 
 
 class TestWitt:

@@ -62,6 +62,22 @@ class TestPoly:
         with pytest.raises(TypeError):
             to_rational(0.5)
 
+    @pytest.mark.parametrize("text, value", [
+        ("7", Fraction(7)), ("-3/2", Fraction(-3, 2)), ("+4/6", Fraction(2, 3)),
+        ("1.25", Fraction(5, 4)), ("-.5", Fraction(-1, 2)),
+    ])
+    def test_to_rational_accepts_integers_fractions_and_decimals(self, text, value):
+        assert to_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1e3", "1E-3", "1.5e2", "1.", "1/2/3", " 1",
+                                      "abc", "", "1_000", "\u0663"])
+    def test_to_rational_refuses_other_text(self, text):
+        # Fraction accepts the exponent forms and expands them to digits;
+        # the huge ones, which hang a regression, run under a timeout in
+        # tests/test_cli.py
+        with pytest.raises(DomainError, match="not an exact rational"):
+            to_rational(text)
+
 
 class TestDivmod:
     def test_long_division_by_hand(self):
