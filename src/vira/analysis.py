@@ -62,7 +62,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exprparse import MAX_EXPONENT
-from .partitions import MAX_PARTS, Pseudopartition, partition_counts, pseudopartitions_upto
+from .partitions import MAX_PARTS, Pseudopartition, pseudopartition_parts
 from .scalar import NEG_INF, Poly, poly_divmod, poly_ext_gcd, poly_linear_factorization, to_rational
 from .virasoro import UEAElement, commutator, merge_terms, poly_terms
 from .whittaker import ModuleContext, ModuleElement, act, dot_act
@@ -183,7 +183,8 @@ def nullspace(rows) -> list[tuple]:
 # truncation windows
 
 #: Most unknowns a solver or span window may have (L:xi=0 at N=14, Z=3
-#: has 2032); a larger window is refused before its basis is built.
+#: has 2032); a larger window is refused before the key past the cap is
+#: built.
 MAX_UNKNOWNS = 5000
 
 
@@ -204,28 +205,20 @@ class TruncationSpec:
         if min(self.max_degree, self.max_zero_count, self.max_z_power) < 0:
             raise ValueError("truncation caps must be non-negative")
 
-    def unknowns(self, zcount: int) -> int:
-        """Number of window keys over ``zcount`` z-powers, (Z+1) * zcount
-        per partition of each size up to N, counted without building any.
-        A window of more than ``MAX_UNKNOWNS`` keys raises ValueError."""
-        unknowns = 0
-        for _size, count in zip(range(self.max_degree + 1), partition_counts()):
-            unknowns += (self.max_zero_count + 1) * zcount * count
-            if unknowns > MAX_UNKNOWNS:
-                raise ValueError(f"truncation window has more than {MAX_UNKNOWNS} unknowns")
-        return unknowns
-
     def basis_keys(self, ctx: ModuleContext) -> list[tuple[int, tuple]]:
-        """The window's basis keys (z-power, parts), refused as ``unknowns``
-        refuses them before any is built."""
+        """The window's basis keys (z-power, parts) in graded-lexicographic
+        order of the parts: the sizes in turn, each partition over the
+        stored z-powers.  A window of more than ``MAX_UNKNOWNS`` keys raises
+        ValueError before the key past the cap is built."""
         zdim = ctx.z_dimension()
         zcount = self.max_z_power + 1 if zdim is None else zdim
-        self.unknowns(zcount)
-        return [
-            (t, lam.parts)
-            for lam in pseudopartitions_upto(self.max_degree, self.max_zero_count)
-            for t in range(zcount)
-        ]
+        keys = []
+        for size in range(self.max_degree + 1):
+            for parts in pseudopartition_parts(size, self.max_zero_count):
+                if len(keys) + zcount > MAX_UNKNOWNS:
+                    raise ValueError(f"truncation window has more than {MAX_UNKNOWNS} unknowns")
+                keys.extend((t, parts) for t in range(zcount))
+        return keys
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +533,11 @@ def decompose(psi, p: Poly) -> Report:
 # ---------------------------------------------------------------------------
 # composition series
 
+#: Most digits a x (digits of xi's numerator + digits of its denominator)
+#: may reach: Python's int-to-text limit, so no coefficient
+#: C(a, i) xi^(a - i) of (z - xi)^a is too long to print.
+MAX_SERIES_DIGITS = 4300
+
 def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> Report:
     """The chain generated by (z - xi)^i w, i = 0..a, in the quotient by
     (z - xi)^a.
@@ -562,7 +560,8 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     g_i mod d is nonzero.  The gcd and the remainder are exact over Q,
     and the verdict is an exact equality; no (z - xi)-adic valuation is
     assumed.  That is O(a^3) work whatever the window, and a x a over
-    ``MAX_UNKNOWNS`` (a > 70) is refused before any polynomial is built.
+    ``MAX_UNKNOWNS`` (a > 70) or a x (digits of xi) over
+    ``MAX_SERIES_DIGITS`` is refused before any polynomial is built.
     """
     if a < 1:
         raise ValueError("composition_series requires a >= 1")
@@ -571,6 +570,11 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
     if a * a > MAX_UNKNOWNS:
         raise ValueError(f"composition series has a x a = {a} x {a}, "
                          f"more than {MAX_UNKNOWNS}")
+    num, den = abs(xi.numerator), xi.denominator
+    if (max(num, den) >= 10 ** MAX_SERIES_DIGITS
+            or a * (len(str(num)) + len(str(den))) > MAX_SERIES_DIGITS):
+        raise ValueError(f"composition series has a x (digits of xi) more than "
+                         f"{MAX_SERIES_DIGITS}")
     g = [Poly.z_minus(xi) ** i for i in range(a + 1)]
     p = g[a]
     ctx = ModuleContext.quotient(psi, p)

@@ -8,7 +8,7 @@ psi, a rational flag that is not an integer, fraction or decimal, a bad
 or oversized ``--lam``, ``verify leading --a`` above 1000 or
 ``verify dotspan --i`` above 10^4, a non-splitting polynomial or an
 oversized rational-root search, a solve, series or orbit past its size
-cap, wrong context), 70 internal engine error or any other crash (one
+cap, a series whose a x (digits of xi) is past 4300, wrong context), 70 internal engine error or any other crash (one
 line on stderr, no traceback), 141 stdout closed before the output was
 written (nothing is printed).
 """

@@ -11,7 +11,6 @@ the zero direction, so the number of zero parts is always capped.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import count
 
 #: Most parts a parsed pseudopartition may have; longer input is refused
 #: before its parts are built.
@@ -110,31 +109,27 @@ class Pseudopartition:
         return f"Pseudopartition({self.parts!r})"
 
 
-def _ascending_partitions(n: int, min_part: int = 1):
-    """Non-decreasing tuples of integers >= min_part summing to n."""
+def _partitions(n: int, least: int = 1):
+    """Non-decreasing tuples of integers >= least summing to n, in
+    graded-lexicographic order: lam(least) = 0, 1, ... in turn, each
+    followed by the parts above least in the same order."""
     if n == 0:
         yield ()
-        return
-    for first in range(min_part, n + 1):
-        for rest in _ascending_partitions(n - first, first):
-            yield (first, *rest)
+    elif least <= n:
+        for m in range(n // least + 1):
+            for rest in _partitions(n - m * least, least + 1):
+                yield (least,) * m + rest
 
 
-def partition_counts():
-    """Yield p(0), p(1), p(2), ...: the number of partitions of each size,
-    by Euler's pentagonal-number recurrence."""
-    counts = [1]
-    yield 1
-    for n in count(1):
-        total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= n:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[n - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= n:
-                total += sign * counts[n - k * (3 * k + 1) // 2]
-            k += 1
-        counts.append(total)
-        yield total
+def pseudopartition_parts(size: int, max_zero_count: int):
+    """Parts of the pseudopartitions of one size with at most
+    max_zero_count zero parts, in graded-lexicographic order: the zero
+    counts in turn, each over ``_partitions``.  No sort is needed, since
+    of two partitions of one size neither exponent vector is a proper
+    prefix of the other (the longer would be larger)."""
+    for zeros in range(max_zero_count + 1):
+        for positive in _partitions(size):
+            yield (0,) * zeros + positive
 
 
 def enumerate_pseudopartitions(size: int, max_zero_count: int) -> list[Pseudopartition]:
@@ -142,19 +137,12 @@ def enumerate_pseudopartitions(size: int, max_zero_count: int) -> list[Pseudopar
     zero parts, in graded-lexicographic order."""
     if size < 0 or max_zero_count < 0:
         raise ValueError("size and max_zero_count must be non-negative")
-    out = []
-    for positive in _ascending_partitions(size):
-        for zeros in range(max_zero_count + 1):
-            out.append(Pseudopartition((0,) * zeros + positive))
-    out.sort(key=Pseudopartition.sort_key)
-    return out
+    return [Pseudopartition(parts) for parts in pseudopartition_parts(size, max_zero_count)]
 
 
 def pseudopartitions_upto(max_degree: int, max_zero_count: int) -> list[Pseudopartition]:
     """All pseudopartitions of size at most max_degree with at most
     max_zero_count zero parts: the sizes in turn, each in
     graded-lexicographic order, so the whole list is in that order too."""
-    out = []
-    for n in range(max_degree + 1):
-        out.extend(enumerate_pseudopartitions(n, max_zero_count))
-    return out
+    return [Pseudopartition(parts) for size in range(max_degree + 1)
+            for parts in pseudopartition_parts(size, max_zero_count)]

@@ -155,9 +155,6 @@ class Poly:
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else _ZERO
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -198,12 +195,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
@@ -228,9 +219,6 @@ class Poly:
 
     def __divmod__(self, other):
         return poly_divmod(self, _require_poly(other))
-
-    def __floordiv__(self, other):
-        return poly_divmod(self, _require_poly(other))[0]
 
     def __mod__(self, other):
         return poly_divmod(self, _require_poly(other))[1]

@@ -203,9 +203,6 @@ class UEAElement(TermMap):
         """q(z) as an element of the enveloping algebra."""
         return cls._raw(poly_terms(q))
 
-    def coefficient(self, z_power: int, word) -> Fraction:
-        return self._terms.get((z_power, tuple(word)), Fraction(0))
-
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """``((z_power, word), coeff)`` pairs in printing order."""
         return sorted(self._terms.items(), key=_term_sort_key)

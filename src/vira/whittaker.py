@@ -246,11 +246,6 @@ class ModuleElement(TermMap):
     def raw_terms(self) -> dict:
         return dict(self._terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, UEAElement):
-            return act(other, self)
-        return super().__rmul__(other)
-
     def maxdeg(self):
         """Maximum |lam| over nonzero terms; NEG_INF for the zero element."""
         if not self._terms:

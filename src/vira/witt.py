@@ -35,13 +35,6 @@ class WittElement(TermMap):
         """The canonical z-free preimage."""
         return UEAElement._raw(dict(self._terms))
 
-    def __mul__(self, other):
-        if isinstance(other, WittElement):
-            other = other.lift()
-        if isinstance(other, UEAElement):
-            return project(self.lift() * other)
-        return super().__mul__(other)
-
     def __str__(self):
         return str(self.lift())
 

@@ -3,11 +3,11 @@
 import random
 import time
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_partitions import partition_count_oracle
 
 from vira import analysis, kernel
 from vira.analysis import (
@@ -25,7 +25,7 @@ from vira.analysis import (
 )
 from vira.errors import NotSplitError
 from vira.exprparse import parse_module, parse_poly
-from vira.partitions import Pseudopartition, partition_counts
+from vira.partitions import Pseudopartition
 from vira.scalar import Poly
 from vira.suite import PSI_SAMPLES
 from vira.virasoro import UEAElement, d, straighten
@@ -274,17 +274,54 @@ class TestTruncationSpec:
                 for z_cap in range(3):
                     for t_cap in range(3):
                         keys = TruncationSpec(n_cap, z_cap, t_cap).basis_keys(ctx)
-                        partitions = sum(islice(partition_counts(), n_cap + 1))
+                        partitions = sum(partition_count_oracle(n) for n in range(n_cap + 1))
                         assert len(keys) == (z_cap + 1) * (zcount or t_cap + 1) * partitions
 
     def test_largest_window_in_use_is_allowed(self):
         ctx = ModuleContext.central_quotient(PSI2, 0)
         assert len(TruncationSpec(14, 3, 0).basis_keys(ctx)) == 2032 <= MAX_UNKNOWNS
 
-    @pytest.mark.parametrize("caps", [(1, 1, 100_000_000), (80, 0, 0), (10**30, 0, 0)])
+    @pytest.mark.parametrize("descriptor", ["M", "L:xi=0", "Q:p=(z-1)^2*(z+3)"])
+    def test_window_matches_sorted_oracle(self, descriptor):
+        # the window built from partitions found in any order, padded with
+        # zeros and sorted by sort_key; N = 14, Z = 3 is the largest in use
+        def partitions(n, largest):
+            if n == 0:
+                yield ()
+            for part in range(1, min(n, largest) + 1):
+                for rest in partitions(n - part, part):
+                    yield rest + (part,)
+
+        ctx = ModuleContext.parse_descriptor(descriptor, PSI2)
+        for n_cap in range(15):
+            for z_cap in range(4):
+                lams = sorted((Pseudopartition((0,) * zeros + parts)
+                               for n in range(n_cap + 1) for parts in partitions(n, n)
+                               for zeros in range(z_cap + 1)),
+                              key=Pseudopartition.sort_key)
+                for t_cap in range(3):
+                    zcount = ctx.z_dimension() or t_cap + 1
+                    expected = [(t, lam.parts) for lam in lams for t in range(zcount)]
+                    trunc = TruncationSpec(n_cap, z_cap, t_cap)
+                    if len(expected) > MAX_UNKNOWNS:
+                        with pytest.raises(ValueError, match=f"more than {MAX_UNKNOWNS} unknowns"):
+                            trunc.basis_keys(ctx)
+                    else:
+                        assert trunc.basis_keys(ctx) == expected
+
+    def test_cap_is_exact(self):
+        ctx = ModuleContext.universal(PSI)
+        assert len(TruncationSpec(0, 0, MAX_UNKNOWNS - 1).basis_keys(ctx)) == MAX_UNKNOWNS
+        with pytest.raises(ValueError, match=f"more than {MAX_UNKNOWNS} unknowns"):
+            TruncationSpec(0, 0, MAX_UNKNOWNS).basis_keys(ctx)
+
+    @pytest.mark.parametrize("caps", [(1, 1, 100_000_000), (80, 0, 0), (10**30, 0, 0),
+                                      (0, 10**9, 0), (10**9, 10**9, 10**9)])
     def test_oversized_window_is_refused(self, caps):
+        start = time.perf_counter()
         with pytest.raises(ValueError, match=f"more than {MAX_UNKNOWNS} unknowns"):
             TruncationSpec(*caps).basis_keys(ModuleContext.universal(PSI))
+        assert time.perf_counter() - start < 1
 
 
 class TestWhittakerSolve:

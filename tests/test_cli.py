@@ -158,6 +158,7 @@ class TestSolve:
         ["solve", "--module", "M", "--psi1", "1", "--psi2", "1",
          "--maxdeg", "80", "--zerocap", "0", "--zcap", "0"],
         ["series", "--xi", "1", "--a", "2", "--maxdeg", "80"],
+        ["solve", "--maxdeg", "1000000000", "--zerocap", "1000000000"],
     ])
     def test_oversized_window_is_domain_error(self, capsys, argv):
         # these once ran out of memory or past a 30 s timeout
@@ -333,6 +334,25 @@ class TestSeries:
         proc = run_process("series", "--xi", "1", *argv, timeout=20)
         assert proc.returncode == 0
         assert proc.stdout.startswith("PASS")
+
+    def test_long_xi_within_the_digit_bound_passes(self):
+        # a x (digits of xi) = 2 x 2001 is under Python's int-to-text limit
+        proc = run_process("series", "--xi", "7" * 2000, "--a", "2", timeout=20)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("PASS")
+
+    @pytest.mark.parametrize("digits, a", [(2000, "3"), (100, "70")])
+    def test_long_xi_beyond_the_digit_bound_is_domain_error(self, digits, a):
+        # (z - xi)^a has coefficients with about a times xi's digits: a
+        # 100-digit xi at a = 70 ran 3.9 s, then failed to print them
+        start = time.perf_counter()
+        proc = run_process("series", "--xi", "7" * digits, "--a", a,
+                           "--maxdeg", "0", "--zerocap", "0", timeout=20)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("domain error: composition series has a x (digits of xi) "
+                               "more than 4300\n")
 
 
 class TestAnnihilate:
