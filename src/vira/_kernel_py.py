@@ -47,10 +47,11 @@ U(Vir) tensored over the positive half with the character psi, so
 u . d_{-lam} w is the normal form of u d_{-lam} with its trailing
 positive modes replaced by their psi values.  ``act_terms`` joins each
 word of u to each lifted d_{-lam}, takes the joined word's evaluation
-from ``_evaluated_cache``, whose entries carry the counts (e1, e2) of
+from ``evaluated_word``, whose entries carry the counts (e1, e2) of
 trailing d_1 and d_2 in place of psi, and accumulates int numerators.
 psi is folded in once per output key from those (e1, e2), the only
-place psi enters the kernel.
+place psi enters the kernel.  The Whittaker solver reads the same
+evaluations through ``evaluated_word`` and folds psi in itself.
 """
 
 from bisect import bisect_right
@@ -202,20 +203,25 @@ def multiply_terms(a, b):
     return {(t, w): Fraction(n, d << t) for (t, w), n in out.items() if n}
 
 
-def _evaluated(terms):
-    """An int normal form ``{(c_power, word): n}`` applied to w, free of
-    psi: a tuple of ``(dz, parts, e1, e2, n)``, each standing for
+def evaluated_word(word):
+    """The product d_{word[0]} ... d_{word[-1]} applied to w, free of psi:
+    a tuple of ``(dz, parts, e1, e2, n)``, each standing for
     n / 2**dz z^dz psi1^e1 psi2^e2 d_{-parts} w, where e1 and e2 count
-    the word's trailing d_1 and d_2.  A word with a trailing d_n, n >= 3,
-    vanishes and is dropped."""
-    out = []
-    for (dz, w), n in terms.items():
-        cut = bisect_right(w, 0)
-        ones = bisect_right(w, 1, cut)
-        twos = bisect_right(w, 2, ones)
-        if twos == len(w):
-            out.append((dz, tuple(-i for i in reversed(w[:cut])), ones - cut, twos - ones, n))
-    return tuple(out)
+    the trailing d_1 and d_2 of a normal word of the product.  A normal
+    word with a trailing d_n, n >= 3, vanishes and is dropped.  The word
+    is straightened and evaluated once, into ``_evaluated_cache``; the
+    tuple is the memo's own."""
+    terms = _evaluated_cache.get(word)
+    if terms is None:
+        out = []
+        for (dz, w), n in _drive(_straightening(word)).items():
+            cut = bisect_right(w, 0)
+            ones = bisect_right(w, 1, cut)
+            twos = bisect_right(w, 2, ones)
+            if twos == len(w):
+                out.append((dz, tuple(-i for i in reversed(w[:cut])), ones - cut, twos - ones, n))
+        terms = _evaluated_cache[word] = tuple(out)
+    return terms
 
 
 def act_terms(u_terms, v_terms, psi1, psi2):
@@ -241,25 +247,15 @@ def act_terms(u_terms, v_terms, psi1, psi2):
     for (ta, wa), ca in u_terms.items():
         na = ca.numerator * (da // ca.denominator)
         neg = tuple(-i for i in reversed(wa))
-        alone = None
         for tb, wb, lam, nb in lifted:
             n0 = na * nb
             t0 = ta + tb
-            if not wb:  # d_wa w
-                if alone is None:
-                    alone = _evaluated({(0, wa): 1})
-                terms = alone
-            elif not wa or wa[-1] <= wb[0]:
+            if wb and (not wa or wa[-1] <= wb[0]):
                 # d_wa d_{-lam} is already normal, with no positive letter
                 key = (t0, lam + neg, 0, 0)
                 out[key] = out.get(key, 0) + (n0 << t0)
                 continue
-            else:
-                word = wa + wb
-                terms = _evaluated_cache.get(word)
-                if terms is None:
-                    terms = _evaluated(_drive(_straightening(word)))
-                    _evaluated_cache[word] = terms
+            terms = evaluated_word(wa + wb)
             for dz, parts, e1, e2, n in terms:
                 # n / 2**dz over da * db * 2**(t0 + dz)
                 key = (t0 + dz, parts, e1, e2)

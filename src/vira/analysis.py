@@ -9,8 +9,14 @@ module, and takes the column of each key z^t d_{-lam} w as z^t times
 that image, reduced into the context.  That is exact: z is central, so
 d_n - psi_n commutes with z^t, and the quotient by p(z) w is a module
 map, so reducing commutes with the action.  There is one sparse
-echelon over Q, each row pivoting on its smallest column.  Spans,
-orbits and series run it in the columns' own order.
+echelon, fraction-free over int rows, each row pivoting on its smallest
+column and stored primitive with a positive pivot.  The solver builds
+its rows as ints, every equation of a window times one scale S (see
+``whittaker_solve``), which leaves the nullspace unchanged; callers
+holding rationals scale each row to ints once, by the lcm of its
+denominators (``_int_row``).  ``Fraction``s are made only when
+``whittaker_solve`` and ``nullspace()`` return.  Orbits run the echelon
+in the columns' own order.
 
 The composition series spans each level by the z-shifts of one
 polynomial.  Its generators (z - xi)^i w have only lam = () terms, and
@@ -59,42 +65,68 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
+from . import kernel
 from .exprparse import MAX_EXPONENT
 from .partitions import MAX_PARTS, Pseudopartition, pseudopartition_parts
-from .scalar import NEG_INF, Poly, poly_divmod, poly_ext_gcd, poly_linear_factorization, to_rational
+from .scalar import (
+    NEG_INF,
+    Poly,
+    poly_divmod,
+    poly_ext_gcd,
+    poly_linear_factorization,
+    rational_text,
+    to_rational,
+)
 from .virasoro import UEAElement, commutator, merge_terms, poly_terms
 from .whittaker import ModuleContext, ModuleElement, act, dot_act
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# linear algebra: one echelon over Q
+# linear algebra: one fraction-free echelon over int rows
+
+def _int_row(row: dict) -> dict:
+    """A sparse rational row times the lcm of its denominators: the same
+    equation, or the same span, as int entries."""
+    m = lcm(*(c.denominator for c in row.values()))
+    return {j: c.numerator * (m // c.denominator) for j, c in row.items()}
+
 
 def _echelon_insert(pivots: dict, row: dict):
-    """Reduce ``row`` against the pivot rows and install it.
+    """Reduce the int ``row`` against the pivot rows and install it.
 
-    Columns may be any mutually comparable keys, entries are rationals.
-    ``pivots`` maps a pivot column to its normalized row (pivot entry 1).
-    Returns the new pivot column, or None when the row reduces to zero.
-    The pivot of a row is always its smallest remaining column, which
-    makes the resulting pivot-column set independent of insertion order.
-    The row is consumed.
+    Columns may be any mutually comparable keys, entries are ints.
+    ``pivots`` maps a pivot column to its row, stored primitive (content
+    1) with a positive entry at the pivot.  Elimination is fraction-free:
+    a row with entry f at a pivot column c whose pivot row has entry p
+    there becomes (p row - f piv) / gcd(p, f), a nonzero multiple of
+    what dividing by p would give, so no row changes its support or its
+    span.  Returns the new pivot column, or None when the row reduces to
+    zero.  The pivot of a row is always its smallest remaining column,
+    which makes the resulting pivot-column set independent of insertion
+    order.  The row is consumed.
     """
     while row:
         c = min(row)
         piv = pivots.get(c)
         if piv is None:
-            lead = row.pop(c)
-            normalized = {c: _ONE}
-            for j, v in row.items():
-                normalized[j] = v / lead
-            pivots[c] = normalized
+            g = gcd(*row.values())
+            if row[c] < 0:
+                g = -g
+            if g != 1:
+                row = {j: v // g for j, v in row.items()}
+            pivots[c] = row
             return c
         f = row.pop(c)
+        g = gcd(piv[c], f)
+        p, f = piv[c] // g, f // g
+        if p != 1:
+            for j in row:
+                row[j] *= p
         for j, v in piv.items():
             if j == c:
                 continue
@@ -107,30 +139,39 @@ def _echelon_insert(pivots: dict, row: dict):
 
 
 def _nullspace_from_pivots(pivots: dict, ncols: int) -> list[dict]:
-    """Nullspace basis as sparse vectors: one per free column, equal to 1
-    there and solved through the pivot rows everywhere else."""
+    """Nullspace basis as sparse int vectors: one per free column, positive
+    there and solved through the pivot rows everywhere else.  Solving the
+    pivot row at c for x_c would divide by its pivot entry; the vector is
+    scaled up instead, so it stays a positive multiple of the vector that
+    is 1 at the free column."""
     order = sorted(pivots, reverse=True)
     basis = []
     for free_col in range(ncols):
         if free_col in pivots:
             continue
-        x = {free_col: _ONE}
+        x = {free_col: 1}
         for c in order:
+            row = pivots[c]
             s = 0
-            for j, v in pivots[c].items():
+            for j, v in row.items():
                 if j != c:
                     xj = x.get(j)
                     if xj is not None:
                         s += v * xj
             if s:
-                x[c] = -s
+                g = gcd(row[c], s)
+                p = row[c] // g
+                if p != 1:
+                    for j in x:
+                        x[j] *= p
+                x[c] = -s // g
         basis.append(x)
     return basis
 
 
 def _top_down_nullspace(rows: list[dict], ncols: int) -> list[dict]:
-    """Canonical nullspace basis (see the module docstring) of sparse
-    rational rows over the unknowns 0 .. ncols - 1.
+    """Canonical nullspace basis (see the module docstring) of sparse int
+    rows over the unknowns 0 .. ncols - 1.
 
     Each row is renumbered as it goes in, so that unknown j sits in column
     ncols - 1 - j.  It then pivots on its smallest column there, its
@@ -140,9 +181,11 @@ def _top_down_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     largest unknown, last free column first: in ascending order, the
     vectors of one dense row each walk a chain through every vector
     installed before them.  Back-substitution from the largest column
-    down then clears every pivot column from the other vectors.  Returns
-    sparse vectors over the unknowns, in ascending order of their
-    largest unknown.
+    down then clears every pivot column from the other vectors, by the
+    same cross-multiplication as the echelon.  All of that is over ints;
+    each vector is divided by its entry at its largest unknown only here,
+    as it is returned.  Returns sparse ``Fraction`` vectors over the
+    unknowns, in ascending order of their largest unknown.
     """
     last = ncols - 1
     pivots: dict = {}
@@ -155,16 +198,21 @@ def _top_down_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     for c in order:
         vec = basis[c]
         for j in [j for j in vec if j != c and j in basis]:
-            f = vec[j]
-            merge_terms(vec, ((k, -f * v) for k, v in basis[j].items()))
-    return [{last - j: v for j, v in basis[c].items()} for c in order]
+            piv = basis[j]
+            f, p = vec.pop(j), piv[j]
+            g = gcd(p, f)
+            vec = {k: v * (p // g) for k, v in vec.items()}
+            merge_terms(vec, ((k, -(f // g) * v) for k, v in piv.items() if k != j))
+        basis[c] = vec
+    return [{last - j: Fraction(v, basis[c][c]) for j, v in basis[c].items()} for c in order]
 
 
 def nullspace(rows) -> list[tuple]:
     """Exact nullspace basis of a rational matrix, in canonical form
     (1 at each vector's last nonzero column and 0 at the others' last
     nonzero columns, in ascending order of that column).  Entries go
-    through ``to_rational``; ragged rows raise ValueError."""
+    through ``to_rational``, and each row is scaled to ints before it
+    is eliminated; ragged rows raise ValueError."""
     sparse = []
     ncols = None
     for row in rows:
@@ -173,7 +221,7 @@ def nullspace(rows) -> list[tuple]:
             ncols = len(row)
         elif len(row) != ncols:
             raise ValueError("matrix rows must have equal length")
-        sparse.append({j: v for j, v in enumerate(row) if v})
+        sparse.append(_int_row({j: v for j, v in enumerate(row) if v}))
     ncols = ncols or 0
     return [tuple(vec.get(j, _ZERO) for j in range(ncols))
             for vec in _top_down_nullspace(sparse, ncols)]
@@ -225,11 +273,15 @@ class TruncationSpec:
 # reports
 
 def jsonify(obj):
-    """Convert engine values into JSON-serializable data."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    """Convert engine values into JSON-serializable data.  Numbers go
+    through ``rational_text``, so one too long to print is refused."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, int):
+        rational_text(obj)
         return obj
     if isinstance(obj, Fraction):
-        return str(obj)
+        return rational_text(obj)
     if isinstance(obj, float):
         return "-inf" if obj == NEG_INF else obj
     if isinstance(obj, (Poly, UEAElement, ModuleElement, Pseudopartition)):
@@ -275,34 +327,70 @@ def whittaker_solve(ctx: ModuleContext, trunc: TruncationSpec) -> list[ModuleEle
     which may leave the truncated span -- so no spurious solutions arise
     from discarded terms.  Unknown i is the coefficient of the i-th basis
     key z^t d_{-lam} w.  Its column for mode n is z^t times the image
-    d_n . d_{-lam} w in the universal module, reduced into the context by
-    ``reduce_raw``, so the module action runs once per partition and
-    mode, not once per key.  That is exact: z is central, so the dot
-    action commutes with multiplication by z^t, and the map from the
-    universal module onto its quotient by p(z) w is a module map, so
-    reducing the shifted universal image gives the image of the reduced
-    key.  The equations are solved top-down over Q: each row pivots on its
-    highest unknown, and the rows go in by their lowest unknown, from the
-    last down.  The nullspace is reduced to the basis that is 1 at each
-    vector's largest unknown and 0 at the others'.  Those largest
-    unknowns are the free unknowns of the echelon in the keys' own
-    order, and a nullspace vector that vanishes at all of them is 0, so
-    that basis is unique and no elimination order changes it (see the
-    module docstring).
+    d_n . d_{-lam} w in the universal module, reduced into the context,
+    so each image is built once per partition and mode, not once per
+    key.  That is exact: z is central, so the dot action commutes with
+    multiplication by z^t, and the map from the universal module onto
+    its quotient by p(z) w is a module map, so reducing the shifted
+    universal image gives the image of the reduced key.
+
+    The image is read from the kernel as the psi-free evaluation of the
+    word (n, -lam reversed) at w, ``kernel.evaluated_word``, and the
+    equations are built over ints.  With psi_i = p_i/q_i and R the lcm of
+    the denominators of z^(deg p) reduced mod p (R = 1 in the universal
+    module), every entry times S = 2 q1 q2 R is an int.  Why S is enough:
+    the word has one positive letter, and brackets of non-positive modes
+    stay non-positive, so each term of the evaluation has at most one
+    trailing d_1 or d_2 (one factor psi_1 or psi_2) and at most one
+    central factor z/2, which appears only where the positive letter
+    meets its negative and uses it up; so a stored z-power t + dz is at
+    most deg p and is reduced at most once, by z^(deg p).  The
+    -psi_n d_{-lam} w term needs the same q_n.  Every equation is
+    multiplied by the same constant S, which leaves the nullspace
+    unchanged.
+
+    The equations are solved top-down in the fraction-free echelon: each
+    row pivots on its highest unknown, and the rows go in by their lowest
+    unknown, from the last down.  The nullspace is reduced to the basis
+    that is 1 at each vector's largest unknown and 0 at the others', and
+    only then made of ``Fraction``s.  Those largest unknowns are the free
+    unknowns of the echelon in the keys' own order, and a nullspace
+    vector that vanishes at all of them is 0, so that basis is unique
+    and no elimination order changes it (see the module docstring).
     """
     keys = trunc.basis_keys(ctx)
-    universal = ModuleContext.universal(ctx.psi)
+    (p1, q1), (p2, q2) = ctx.psi.psi1.as_integer_ratio(), ctx.psi.psi2.as_integer_ratio()
+    # S / R times psi1^e1 psi2^e2, then over 2^dz for each (dz, e1, e2) a
+    # term can carry; any other raises KeyError rather than round an entry
+    psi_ints = {(0, 0): 2 * q1 * q2, (1, 0): 2 * p1 * q2, (0, 1): 2 * q1 * p2}
+    scale = {(dz,) + e: v >> dz for e, v in psi_ints.items() for dz in (0, 1)}
+    minus = {1: -psi_ints[1, 0], 2: -psi_ints[0, 1]}
+    # the z-power k as ((stored power, R times its coefficient), ...)
+    deg = ctx.z_dimension()
+    if deg is None:
+        reps = [((k, 1),) for k in range(keys[-1][0] + 2)]
+    else:
+        top = ctx._z_rep(deg)
+        r = lcm(*(c.denominator for _, c in top))
+        reps = [((k, r),) if k < deg else
+                tuple((power, c.numerator * (r // c.denominator)) for power, c in top)
+                for k in range(deg + 1)]
     equations: dict = {}
     last = images = None
     for i, (t, parts) in enumerate(keys):
         if parts != last:  # the keys are partition-major
-            b = universal.basis_vector(0, parts)
-            images = [(n, dot_act(n, b)._terms) for n in (1, 2)]
+            neg = tuple(-k for k in reversed(parts))
+            images = []
+            for n in (1, 2):
+                image = merge_terms({}, (((dz, lam), num * scale[dz, e1, e2]) for dz, lam, e1, e2, num
+                                         in kernel.evaluated_word((n,) + neg)))
+                images.append((n, merge_terms(image, [((0, parts), minus[n])])))
             last = parts
         for n, image in images:
-            column = ctx.reduce_raw({(s + t, lam): c for (s, lam), c in image.items()})
-            for key2, c in column.items():
-                equations.setdefault((n,) + key2, {})[i] = c
+            column = merge_terms({}, (((n, power, lam), c * zc) for (dz, lam), c in image.items()
+                                      for power, zc in reps[t + dz]))
+            for key, c in column.items():
+                equations.setdefault(key, {})[i] = c
     return [ModuleElement._raw(ctx, {keys[i]: c for i, c in vec.items()})
             for vec in _top_down_nullspace(list(equations.values()), len(keys))]
 
@@ -467,11 +555,11 @@ def dot_orbit_dimension(v: ModuleElement) -> tuple[int, list[ModuleElement]]:
         raise ValueError("dot_orbit_dimension requires a nonzero element")
     pivots: dict = {}
     spanning = [v]
-    _echelon_insert(pivots, dict(v._terms))
+    _echelon_insert(pivots, _int_row(v._terms))
     for cur in spanning:  # grows as the walk goes
         for n in range(1, int(cur.maxdeg()) + 3):
             img = dot_act(n, cur)
-            if _echelon_insert(pivots, dict(img._terms)) is None:
+            if _echelon_insert(pivots, _int_row(img._terms)) is None:
                 continue
             spanning.append(img)
             if len(spanning) > MAX_ORBIT:

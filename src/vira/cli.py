@@ -8,9 +8,10 @@ psi, a rational flag that is not an integer, fraction or decimal, a bad
 or oversized ``--lam``, ``verify leading --a`` above 1000 or
 ``verify dotspan --i`` above 10^4, a non-splitting polynomial or an
 oversized rational-root search, a solve, series or orbit past its size
-cap, a series whose a x (digits of xi) is past 4300, wrong context), 70 internal engine error or any other crash (one
-line on stderr, no traceback), 141 stdout closed before the output was
-written (nothing is printed).
+cap, a series whose a x (digits of xi) is past 4300, an output
+coefficient with more than 4300 digits, wrong context), 70 internal
+engine error or any other crash (one line on stderr, no traceback), 141
+stdout closed before the output was written (nothing is printed).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .analysis import (
 from .errors import DomainError, ExpressionError, ViraError
 from .exprparse import parse_module, parse_poly, parse_uea
 from .partitions import Pseudopartition
-from .scalar import to_rational
+from .scalar import rational_text, to_rational
 from .whittaker import (
     ModuleContext,
     act,
@@ -72,7 +73,7 @@ def _context(args) -> ModuleContext:
 def _uea_json(elem) -> dict:
     return {
         "terms": [
-            {"z": t, "word": list(word), "coeff": str(c)}
+            {"z": t, "word": list(word), "coeff": rational_text(c)}
             for (t, word), c in elem.sorted_terms()
         ],
         "text": str(elem),

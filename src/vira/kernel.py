@@ -6,11 +6,12 @@ from ._kernel_py import (
     cache_clear,
     cache_size,
     central_coefficient,
+    evaluated_word,
     multiply_terms,
     straighten_word,
 )
 
 __all__ = [
     "IMPL", "act_terms", "cache_clear", "cache_size", "central_coefficient",
-    "multiply_terms", "straighten_word",
+    "evaluated_word", "multiply_terms", "straighten_word",
 ]

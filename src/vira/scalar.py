@@ -69,9 +69,29 @@ def to_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+#: Most decimal digits a printed numerator or denominator may have
+#: (Python's default int-to-text limit); a longer one is refused.
+MAX_PRINTED_DIGITS = 4300
+_PRINT_LIMIT = 10 ** MAX_PRINTED_DIGITS
+_PRINT_BITS = _PRINT_LIMIT.bit_length()
+
+
+def rational_text(c) -> str:
+    """``str`` of an int or Fraction, the one place an output coefficient
+    becomes text.  A numerator or denominator of more than
+    ``MAX_PRINTED_DIGITS`` digits raises DomainError; only one of at least
+    as many bits as 10^4300 is compared with it, so the check costs two
+    ``bit_length`` calls."""
+    num, den = c.numerator, c.denominator
+    if (max(num.bit_length(), den.bit_length()) >= _PRINT_BITS
+            and max(abs(num), den) >= _PRINT_LIMIT):
+        raise DomainError(f"a coefficient has more than {MAX_PRINTED_DIGITS} digits to print")
+    return str(c)
+
+
 def coeff_factor_str(c: Fraction) -> str:
     """Render a non-negative coefficient as a product factor: ``4``, ``(3/4)``."""
-    return f"({c})" if c.denominator != 1 else str(c)
+    return f"({rational_text(c)})" if c.denominator != 1 else rational_text(c)
 
 
 def join_terms(parts) -> str:
@@ -86,7 +106,7 @@ def join_terms(parts) -> str:
     for c, factors in parts:
         mag = -c if c < 0 else c
         if not factors:
-            text = str(mag)
+            text = rational_text(mag)
         elif mag == 1:
             text = "*".join(factors)
         else:

@@ -80,10 +80,12 @@ class _Tally:
         self.failures: list[str] = []
         self.elements: list[str] = []
 
-    def cell(self, ok: bool, label: str, *shown) -> None:
+    def cell(self, ok: bool, label, *shown) -> None:
+        """Count one cell.  ``label`` is the failure's text, or a function
+        that makes it, called only when the cell fails."""
         self.cells += 1
         if not ok:
-            self.failures.append(label)
+            self.failures.append(label() if callable(label) else label)
         for item in shown:
             if len(self.elements) < 25:
                 text = str(item)
@@ -151,7 +153,7 @@ def check_action_coherence(seed: int = 0) -> Report:
             m = ctx.basis_vector(min(t, (ctx.z_dimension() or 3) - 1), lam)
             left = act(uv, m)
             tally.cell(left == act(u, act(v, m)),
-                       f"u={u} v={v} m={m} ctx={ctx.descriptor()}", left)
+                       lambda: f"u={u} v={v} m={m} ctx={ctx.descriptor()}", left)
     return tally.report("action_coherence", {"seed": seed, "samples": COHERENCE_SAMPLES},
                         count="checked", cap=5)
 
@@ -286,7 +288,7 @@ def check_constructive_simplicity(seed: int = 0) -> Report:
                 break
             measure = nxt
         ok = ok and cur == result
-        tally.cell(ok, f"sample {idx}: v={v}", result, v)
+        tally.cell(ok, lambda: f"sample {idx}: v={v}", result, v)
     return tally.report("constructive_simplicity",
                         {"seed": seed, "samples": SIMPLICITY_SAMPLES}, count=None, cap=5)
 
@@ -346,7 +348,7 @@ def check_annihilator(seed: int = 0) -> Report:
         )
         _, _, built_residual = annihilator_normal_form(built, psi, p)
         ok = ok and built_residual.is_zero() and act(built, ctx.w()).is_zero()
-        tally.cell(ok, f"sample {idx}: u={u} p={p}", image)
+        tally.cell(ok, lambda: f"sample {idx}: u={u} p={p}", image)
     return tally.report("annihilator", {"seed": seed, "samples": ANNIHILATOR_SAMPLES},
                         count=None, cap=5)
 

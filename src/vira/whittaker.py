@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import kernel
 from .errors import ContextError, DomainError, ReductionError
 from .partitions import Pseudopartition
-from .scalar import NEG_INF, Poly, join_terms, poly_divmod, to_rational
+from .scalar import NEG_INF, Poly, join_terms, poly_divmod, rational_text, to_rational
 from .virasoro import TermMap, UEAElement, poly_terms, render_factors
 
 _ZERO = Fraction(0)
@@ -260,7 +260,7 @@ class ModuleElement(TermMap):
 
     def json_terms(self) -> list[dict]:
         return [
-            {"z": t, "lambda": list(parts), "coeff": str(c)}
+            {"z": t, "lambda": list(parts), "coeff": rational_text(c)}
             for (t, parts), c in sorted(self._terms.items(), key=_module_sort_key)
         ]
 

@@ -1,7 +1,9 @@
 """Nullspace, solver dimensions, identity verifiers, structure procedures."""
 
+import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,25 @@ class TestCertifiedNullspace:
         rng.shuffle(shuffled)
         assert nullspace(shuffled) == nullspace(rows)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_long_entries_and_repeated_rows(self, data):
+        # int rows scaled from 30-digit fractions, with zero, duplicate and
+        # dense rows, against the Fraction oracle
+        ncols = data.draw(st.integers(1, 7))
+        long_entries = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+        dense_entries = long_entries.filter(bool)
+        rows = data.draw(st.lists(st.one_of(
+            st.lists(long_entries | st.just(Fraction(0)), min_size=ncols, max_size=ncols),
+            st.lists(dense_entries, min_size=ncols, max_size=ncols),
+            st.just([0] * ncols),
+        ), min_size=1, max_size=5))
+        for _ in range(data.draw(st.integers(0, 2))):
+            row = data.draw(st.sampled_from(rows))
+            factor = data.draw(dense_entries)
+            rows.insert(data.draw(st.integers(0, len(rows))), [factor * x for x in row])
+        assert nullspace(rows) == exact_nullspace(rows)
+
     def test_canonical_reduction_of_a_mixed_basis(self):
         # the canonical basis: 1 at its own largest index (1, 3, 4), 0 at
         # the other two, however the rows spanning its complement are mixed
@@ -190,12 +211,17 @@ class TestCertifiedNullspace:
 
 
 nonzero_rationals = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
+# psi and xi up to 12-digit numerators and 6-digit denominators, which the
+# solver's one scale for the window must clear
+long_rationals = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+solver_rationals = nonzero_rationals | long_rationals.filter(bool)
+solver_psi = st.tuples(solver_rationals, solver_rationals)
+solver_xi = small_rationals | long_rationals
 solver_contexts = st.one_of(
-    st.builds(lambda psi: (ModuleContext.universal(psi), 2), st.tuples(nonzero_rationals, nonzero_rationals)),
-    st.builds(lambda psi, xi: (ModuleContext.central_quotient(psi, xi), 0),
-              st.tuples(nonzero_rationals, nonzero_rationals), small_rationals),
+    st.builds(lambda psi: (ModuleContext.universal(psi), 2), solver_psi),
+    st.builds(lambda psi, xi: (ModuleContext.central_quotient(psi, xi), 0), solver_psi, solver_xi),
     st.builds(lambda psi, xi: (ModuleContext.quotient(psi, Poly.z_minus(xi) ** 2 * Poly.z_minus(1)), 0),
-              st.tuples(nonzero_rationals, nonzero_rationals), small_rationals),
+              solver_psi, solver_xi),
 )
 
 
@@ -220,6 +246,53 @@ def test_solver_equals_exact_echelon(ctx_tcap, n_cap, z_cap, t_cap):
     assert [tuple(b.coefficient(t, parts) for t, parts in keys) for b in basis] == \
         exact_nullspace(dense_equations(ctx, keys), len(keys))
     assert all(is_whittaker_vector(b) for b in basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(solver_contexts, st.integers(0, 4), st.integers(0, 2), st.integers(0, 2))
+def test_solver_rows_are_one_multiple_of_the_dot_action_rows(ctx_tcap, n_cap, z_cap, t_cap):
+    # the windows' Whittaker vectors are polynomials in z times w whatever
+    # psi is, so the nullspace alone would not see a psi scaled wrongly;
+    # the int rows themselves must be the rows built from dot_act times
+    # S = 2 q1 q2 R, R the lcm of the denominators of p
+    ctx, t_max = ctx_tcap
+    trunc = TruncationSpec(n_cap, z_cap, min(t_cap, t_max))
+    keys = trunc.basis_keys(ctx)
+    seen = []
+    original = analysis._top_down_nullspace
+
+    def spy(rows, ncols):
+        seen.extend(rows)
+        return original(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_top_down_nullspace", spy)
+        whittaker_solve(ctx, trunc)
+    r = 1 if ctx.p is None else math.lcm(*(c.denominator for c in ctx.p.coeffs))
+    scale = 2 * ctx.psi.psi1.denominator * ctx.psi.psi2.denominator * r
+    assert all(isinstance(v, int) for row in seen for v in row.values())
+    assert Counter(frozenset(row.items()) for row in seen) == Counter(
+        frozenset((j, scale * v) for j, v in enumerate(row) if v)
+        for row in dense_equations(ctx, keys))
+
+
+def test_echelon_stores_primitive_rows_with_positive_pivots():
+    # rows of mixed sign and common factors, some dependent on earlier ones
+    rng = random.Random(7)
+    pivots: dict = {}
+    rows = [{j: rng.randint(-6, 6) * 10 for j in rng.sample(range(8), 4)} for _ in range(6)]
+    rows.append({j: 3 * rows[0].get(j, 0) - 2 * rows[1].get(j, 0) for j in range(8)})
+    rows += [{3: -4, 5: 8}, {3: 6, 5: -12}]
+    for row in rows:
+        analysis._echelon_insert(pivots, {j: v for j, v in row.items() if v})
+    assert pivots
+    for c, piv in pivots.items():
+        assert c == min(piv) and piv[c] > 0
+        assert math.gcd(*piv.values()) == 1
+        assert all(isinstance(v, int) and v for v in piv.values())
+    single: dict = {}
+    assert analysis._echelon_insert(single, {4: 9, 2: -6}) == 2
+    assert single == {2: {2: 2, 4: -3}}
 
 
 def test_solver_fill_stays_small(monkeypatch):
@@ -250,13 +323,13 @@ def test_solver_acts_once_per_partition_and_mode(monkeypatch, descriptor, trunc)
     # images of d_{-lam} w under d_1 and d_2; each of these windows has 3
     # z-powers per partition
     calls = []
-    original = kernel.act_terms
+    original = kernel.evaluated_word
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(kernel, "act_terms", spy)
+    monkeypatch.setattr(kernel, "evaluated_word", spy)
     ctx = ModuleContext.parse_descriptor(descriptor, PSI2)
     keys = trunc.basis_keys(ctx)
     partitions = {parts for _, parts in keys}
@@ -464,6 +537,11 @@ class TestDotOrbit:
         dim, _ = dot_orbit_dimension(ctx.basis_vector(1, ()))
         assert dim == 1
 
+    @pytest.mark.parametrize("expr, dim", [("d-1^10*w", 66), ("d-2^2*d-1^5*w", 141)])
+    def test_pinned_dimensions(self, expr, dim):
+        ctx = ModuleContext.universal(PSI)
+        assert dot_orbit_dimension(parse_module(expr, ctx))[0] == dim
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             dot_orbit_dimension(ModuleContext.universal(PSI).element())
@@ -568,8 +646,9 @@ class TestCompositionSeries:
             for t, parts in keys:
                 img = act(UEAElement.monomial(t, Pseudopartition(parts).neg_word()), generators[i + 1])
                 if img:
-                    analysis._echelon_insert(pivots, dict(img._terms))
-            proper.append(analysis._echelon_insert(pivots, dict(generators[i]._terms)) is not None)
+                    analysis._echelon_insert(pivots, analysis._int_row(img._terms))
+            proper.append(analysis._echelon_insert(pivots, analysis._int_row(generators[i]._terms))
+                          is not None)
         return proper + [True]
 
     @pytest.mark.parametrize("psi", PSI_SAMPLES)
@@ -604,7 +683,7 @@ class TestCompositionSeries:
         return series_calls, len(calls)
 
     def test_kernel_acts_only_in_the_solve(self, monkeypatch):
-        series_calls, solve_calls = self._series_and_solve_calls(monkeypatch, kernel, "act_terms")
+        series_calls, solve_calls = self._series_and_solve_calls(monkeypatch, kernel, "evaluated_word")
         assert series_calls == solve_calls > 0
 
     def test_echelon_runs_only_in_the_solve(self, monkeypatch):

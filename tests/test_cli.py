@@ -98,6 +98,22 @@ class TestAct:
         code, _, _ = run(capsys, "series", "--xi", "-1/2", "--a", "2")
         assert code == 0
 
+    def test_long_coefficient_within_the_print_bound(self, capsys):
+        # psi1^2 of a 2000-digit psi1 has 4000 digits
+        psi1 = "7" * 2000
+        code, out, _ = run(capsys, "act", "--psi1", psi1, "d1^2", "w")
+        assert code == 0
+        assert out == f"{int(psi1) ** 2}*w\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_coefficient_past_the_print_bound_is_domain_error(self, capsys, json_flag):
+        # psi1^2 has 6000 digits; this printed Python's own limit message,
+        # which names sys.set_int_max_str_digits
+        code, out, err = run(capsys, "act", "--psi1", "7" * 3000, *json_flag, "d1^2", "w")
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: a coefficient has more than 4300 digits to print\n"
+
     @pytest.mark.parametrize("argv", [
         ["series", "--xi", "1/0", "--a", "2"],
         ["act", "--psi1", "1/0", "d1", "w"],

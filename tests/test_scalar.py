@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vira.errors import DomainError, NotSplitError
 from vira.scalar import (
+    MAX_PRINTED_DIGITS,
     MAX_TRIAL_DIVISOR,
     MR_EXACT_BOUND,
     NEG_INF,
@@ -18,6 +19,7 @@ from vira.scalar import (
     poly_divmod,
     poly_ext_gcd,
     poly_linear_factorization,
+    rational_text,
     to_rational,
 )
 
@@ -234,3 +236,19 @@ class TestLinearFactorization:
         for root, mult in factors:
             rebuilt = rebuilt * Poly.z_minus(root) ** mult
         assert rebuilt == p
+
+
+class TestRationalText:
+    def test_bound_is_exact(self):
+        longest = 10 ** MAX_PRINTED_DIGITS - 1
+        for c in (longest, -longest, Fraction(-longest, longest - 1), Fraction(1, longest)):
+            assert rational_text(c) == str(c)
+        for c in (longest + 1, -longest - 1, Fraction(1, longest + 1), Fraction(longest + 2, 3)):
+            with pytest.raises(DomainError, match="more than 4300 digits to print"):
+                rational_text(c)
+
+    def test_polynomial_coefficients_are_bounded(self):
+        # the text of every element goes through join_terms
+        with pytest.raises(DomainError, match="more than 4300 digits"):
+            str(Poly.z_minus(10 ** 2200) ** 2)
+        assert str(Poly.z_minus(10 ** 2100) ** 2).endswith("0" * 4200)

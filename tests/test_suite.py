@@ -1,6 +1,8 @@
 """Failing cells of the verification grids: the verdict, the listed
 failures and their caps, the counts and the shown elements."""
 
+import re
+
 from vira import suite
 from vira.analysis import Report
 from vira.virasoro import UEAElement
@@ -53,3 +55,30 @@ def test_composition_series_lists_every_failure(monkeypatch):
         "FAIL  series xi=0 a=2", "FAIL  series xi=1 a=3", "FAIL  series xi=0 a=2",
     ]
     assert report.witness["elements"] == ["w", "2*w", "3*w"]
+
+
+def test_labels_are_made_only_for_failing_cells():
+    made = []
+
+    def label(text):
+        def make():
+            made.append(text)
+            return text
+        return make
+
+    tally = suite._Tally()
+    tally.cell(True, label("passes"))
+    tally.cell(False, label("fails"))
+    tally.cell(False, "plain")
+    assert made == ["fails"]
+    assert tally.failures == ["fails", "plain"]
+
+
+def test_coherence_failures_name_the_cell(monkeypatch):
+    real = suite.act
+    monkeypatch.setattr(suite, "act", lambda u, v: real(u, v) + v)
+    report = suite.check_action_coherence(0)
+    assert report.passed is False
+    assert len(report.witness["failures"]) == 5
+    for text in report.witness["failures"]:
+        assert re.fullmatch(r"u=.+ v=.+ m=.+ ctx=(M|L:xi=.+)", text)
