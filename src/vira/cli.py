@@ -4,11 +4,11 @@ Every engine operation is reachable through a verb; psi and the module
 context always come from flags, never from the expression itself, so
 expressions stay context-free.  Exit codes: 0 success, 1 a verify/solve
 assertion failed, 2 expression or usage parse error, 3 domain error (zero
-psi, a rational flag that is not an integer, fraction or decimal, a bad
-or oversized ``--lam``, ``verify leading --a`` above 1000 or
-``verify dotspan --i`` above 10^4, a non-splitting polynomial or an
-oversized rational-root search, a solve, series or orbit past its size
-cap, a series whose a x (digits of xi) is past 4300, an output
+psi, a rational flag that is not an integer, fraction or decimal, a number
+in a flag or an expression with more than 4300 digits, a bad or oversized
+``--lam``, ``verify leading --a`` above 1000 or ``verify dotspan --i``
+above 10^4, a non-splitting polynomial, a solve, series or orbit past its
+size cap, a series whose a x (digits of xi) is past 4300, an output
 coefficient with more than 4300 digits, wrong context), 70 internal
 engine error or any other crash (one line on stderr, no traceback), 141
 stdout closed before the output was written (nothing is printed).

@@ -13,9 +13,10 @@ allowed between ``d`` and the index, which keeps negative indices
 unambiguous next to binary minus.  ``w`` denotes the cyclic vector of a
 module context; it may appear at most once per product, rightmost, and
 only when evaluating into a module.  A factor's exponent, times those of
-the groups around it, is at most ``MAX_EXPONENT``.  All printers in the
-package emit strings this grammar accepts, so print/parse round-trips
-exactly.
+the groups around it, is at most ``MAX_EXPONENT``; a number or index of
+more than ``MAX_PRINTED_DIGITS`` digits is a domain error.  All printers
+in the package emit strings this grammar accepts, so print/parse
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExpressionError
-from .scalar import Poly
+from .scalar import Poly, parse_digits
 from .virasoro import UEAElement
 from .whittaker import ModuleContext, ModuleElement, act
 
@@ -56,14 +57,15 @@ def _tokenize(text: str) -> list[Token]:
                 raise ExpressionError(
                     "expected an integer index after 'd'", i + 1, ("integer",)
                 )
-            out.append(Token("gen", int(text[i + 1:j]), i))
+            index = parse_digits(text[start_digits:j])
+            out.append(Token("gen", -index if start_digits > i + 1 else index, i))
             i = j
             continue
         if "0" <= ch <= "9":
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            out.append(Token("num", int(text[i:j]), i))
+            out.append(Token("num", parse_digits(text[i:j]), i))
             i = j
             continue
         if ch not in "zw+-*^/()":

@@ -4,15 +4,16 @@ Everything in the engine is computed over the rationals.  Scalars are
 arbitrary-precision `fractions.Fraction` values (aliased ``Rational``);
 this module adds the polynomial ring Q[z] with the exact operations the
 rest of the engine needs: division with remainder, the extended
-Euclidean algorithm, and factorization into linear factors via the
-rational-root theorem.  Floating point is never used.
+Euclidean algorithm, and factorization into linear factors by lifting
+roots modulo a prime and reconstructing them as fractions.  Floating
+point is never used.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError, NotSplitError
 
@@ -53,7 +54,9 @@ def to_rational(value) -> Fraction:
 
     Floats are rejected: exactness is a hard requirement.  A string that
     is not an integer, a fraction or a decimal, or that has a zero
-    denominator, raises DomainError naming the text.
+    denominator, raises DomainError naming the text; one with a run of
+    more than ``MAX_PRINTED_DIGITS`` digits raises DomainError before it
+    is converted.
     """
     if isinstance(value, Fraction):
         return value
@@ -62,6 +65,8 @@ def to_rational(value) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_TEXT.fullmatch(value):
             raise DomainError(f"not an exact rational: {value!r}")
+        for digits in re.findall(r"\d+", value):
+            parse_digits(digits)
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -69,11 +74,18 @@ def to_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-#: Most decimal digits a printed numerator or denominator may have
-#: (Python's default int-to-text limit); a longer one is refused.
+#: Most decimal digits a numerator or denominator may have, printed or
+#: parsed (Python's default int-to-text limit); a longer one is refused.
 MAX_PRINTED_DIGITS = 4300
 _PRINT_LIMIT = 10 ** MAX_PRINTED_DIGITS
 _PRINT_BITS = _PRINT_LIMIT.bit_length()
+
+
+def parse_digits(digits: str) -> int:
+    """The int of a run of decimal digits, refused past MAX_PRINTED_DIGITS."""
+    if len(digits) > MAX_PRINTED_DIGITS:
+        raise DomainError(f"a number in the input has more than {MAX_PRINTED_DIGITS} digits")
+    return int(digits)
 
 
 def rational_text(c) -> str:
@@ -323,109 +335,87 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0 * inv, s0 * inv, t0 * inv
 
 
-#: Largest trial divisor in the rational-root search.  A constant that
-#: leaves a cofactor above its square, with no prime factor up to it, is
-#: refused rather than factored -- trial division would run for hours --
-#: unless the cofactor is provably prime.
-MAX_TRIAL_DIVISOR = 10**6
-
-#: Miller-Rabin to the first thirteen prime bases decides primality
-#: exactly below this bound, the least strong pseudoprime to all of them
-#: (Sorenson and Webster, Math. Comp. 2017); above it nothing is accepted
-#: as prime.  Twelve bases are not enough: 318665857834031151167461 =
-#: 399165290221 * 798330580441 passes every base up to 37.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+def _derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
 
 
-def _is_prime(n: int) -> bool:
-    """Exact primality of an odd n with 41 < n < MR_EXACT_BOUND."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+def _horner(f: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _rational_roots(a: Poly) -> list[Fraction]:
+    """The rational roots of a squarefree monic a, steps 2-4 below."""
+    lead = lcm(*(c.denominator for c in a.coeffs))
+    f = [c.numerator * (lead // c.denominator) for c in a.coeffs]
+    df = [i * c for i, c in enumerate(f)][1:]
+    _, s, t = poly_ext_gcd(a, _derivative(a))
+    bad = lcm(lead, *(c.denominator for c in s.coeffs + t.coeffs))
+    ell = 2
+    while bad % ell == 0 or any(ell % q == 0 for q in range(2, isqrt(ell) + 1)):
+        ell += 1
+    h = max(map(abs, f))
+    roots = []
+    for x in range(ell):
+        if _horner(f, x, ell):
             continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n != 0, from its factorization by trial division."""
-    n = abs(n)
-    out = [1]
-    p = 2
-    while p * p <= n:
-        if p > MAX_TRIAL_DIVISOR:
-            if n < MR_EXACT_BOUND and _is_prime(n):
-                break
-            raise DomainError(f"rational-root search: cofactor {n} has no prime factor"
-                              f" up to {MAX_TRIAL_DIVISOR}")
-        layer = out
-        while n % p == 0:
-            n //= p
-            layer = [d * p for d in layer]
-            out = out + layer
-        p += 1
-    if n > 1:
-        out += [d * n for d in out]
-    return sorted(out)
+        m = ell
+        while m <= 2 * h * h:
+            m *= m
+            x = (x - _horner(f, x, m) * pow(_horner(df, x, m), -1, m)) % m
+        r0, t0, r1, t1 = m, 0, x, 1  # half-extended Euclid: r = t*x mod m
+        while r1 > h:
+            q = r0 // r1
+            r0, t0, r1, t1 = r1, t1, r0 - q * r1, t0 - q * t1
+        if not a(Fraction(r1, t1)):
+            roots.append(Fraction(r1, t1))
+    return roots
 
 
 def poly_linear_factorization(p: Poly) -> list[tuple[Fraction, int]]:
     """Factor a monic polynomial into linear factors over Q.
 
-    Returns ``[(root, multiplicity), ...]`` sorted by root.  Raises
-    NotSplitError when a non-linear factor remains; candidate roots come
-    from the rational-root theorem applied to the primitive integer form.
+    Returns ``[(root, multiplicity), ...]`` sorted by root, and raises
+    NotSplitError when a non-linear factor remains.  No integer is
+    factored (Loos, SIAM J. Comput. 12, 1983):
+
+    1. Yun's loop (SYMSAC 1976) yields squarefree coprime a_1, a_2, ...
+       with p = prod a_i^i, one per pass, so at most deg p passes.
+    2. For f = L a_i in Z[z] and s a_i + t a_i' = 1 from ``poly_ext_gcd``,
+       take the least prime ell dividing none of L and the denominators
+       of s and t; their lcm D has at most log2 D prime factors, so ell is
+       at most the (log2 D + 1)-th prime.  Mod ell, (s/L) f + (t/L) f' = 1
+       and deg f is kept, so f mod ell is squarefree: its roots are simple.
+    3. Each root mod ell is found by evaluation and lifted by Newton's
+       iteration (f' is a unit there, so precision doubles per step) until
+       the modulus m exceeds 2 H^2, H the largest |coefficient| of f.
+    4. A rational root u/v in lowest terms has v | L, and u = 0 or u
+       divides f's lowest nonzero coefficient, so |u|, |v| <= H.  Its
+       image mod ell is a root whose lift is unique (Hensel), and as
+       m > 2 H^2 >= H (H + 1), Euclid on (m, x) stopped at the first
+       remainder <= H returns u/v.  A fraction is kept only if a_i of it
+       is exactly 0.
+    5. Fewer kept roots than deg a_i means p does not split.
     """
     if p.degree < 1:
         raise ValueError("linear factorization requires degree >= 1")
     if not p.is_monic():
         raise ValueError("linear factorization requires a monic polynomial")
-    found: dict[Fraction, int] = {}
-    work = p
-    zero_mult = 0
-    while work.degree >= 1 and not work.coeffs[0]:
-        work, _ = poly_divmod(work, Poly.z())
-        zero_mult += 1
-    if zero_mult:
-        found[_ZERO] = zero_mult
-    if work.degree >= 1:
-        den = 1
-        for c in work.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in work.coeffs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        ints = [v // content for v in ints]
-        candidates = set()
-        for num in _divisors(ints[0]):
-            for d in _divisors(ints[-1]):
-                candidates.add(Fraction(num, d))
-                candidates.add(Fraction(-num, d))
-        for root in sorted(candidates):
-            mult = 0
-            while work.degree >= 1:
-                q, rem = poly_divmod(work, Poly.z_minus(root))
-                if rem:
-                    break
-                work = q
-                mult += 1
-            if mult:
-                found[root] = mult
-            if work.degree < 1:
-                break
-        if work.degree >= 1:
+    dp = _derivative(p)
+    g = poly_ext_gcd(p, dp)[0]
+    b, c = poly_divmod(p, g)[0], poly_divmod(dp, g)[0]
+    found, mult = [], 0
+    while b.degree >= 1:
+        d = c - _derivative(b)
+        a = poly_ext_gcd(b, d)[0]
+        b, c = poly_divmod(b, a)[0], poly_divmod(d, a)[0]
+        mult += 1
+        roots = _rational_roots(a) if a.degree >= 1 else []
+        if len(roots) < a.degree:
             raise NotSplitError(
                 f"{p} does not split into linear factors over the rationals"
             )
-    return sorted(found.items())
+        found += [(root, mult) for root in roots]
+    return sorted(found)

@@ -140,6 +140,24 @@ class TestAct:
         assert proc.stdout == ""
         assert proc.stderr == f"domain error: not an exact rational: {text!r}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["act", "--psi1", "7" * 5000, "d1", "w"],
+        ["act", "--module", "L:xi=" + "7" * 5000, "d1", "w"],
+        ["decompose", "--p", "z-" + "7" * 5000],
+        ["straighten", "7" * 5000 + "*d1"],
+        ["straighten", "d-" + "7" * 5000],
+    ], ids=["psi1", "L-xi", "decompose-p", "straighten-number", "straighten-index"])
+    def test_number_past_the_digit_bound_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: a number in the input has more than 4300 digits\n"
+
+    def test_number_at_the_digit_bound(self, capsys):
+        sevens = "7" * 4300
+        assert run(capsys, "act", "--psi1", sevens, "d1", "w") == (0, f"{sevens}*w\n", "")
+        assert run(capsys, "straighten", f"{sevens}*d1") == (0, f"{sevens}*d1\n", "")
+
 
 class TestSolve:
     def test_central_quotient_line(self, capsys):
@@ -307,11 +325,10 @@ class TestDecompose:
         assert code == 0
         components = json.loads(out)["witness"]["components"]
         assert [c["xi"] for c in components] == ["10000000000037"]
-        code, out, err = run(capsys, "decompose", "--p", f"z - {1000003 * 1000033}")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("domain error: rational-root search")
-        assert len(err.splitlines()) == 1
+        code, out, _ = run(capsys, "decompose", "--p", f"z - {1000003 * 1000033}", "--json")
+        assert code == 0
+        components = json.loads(out)["witness"]["components"]
+        assert [c["xi"] for c in components] == [str(1000003 * 1000033)]
 
 
 class TestSeries:
