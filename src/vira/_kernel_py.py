@@ -17,30 +17,53 @@ the central part is ((a^3 - a)/6) c.  Straightening works on int normal
 forms ``{(c_power, word): n}``, each term standing for
 n / 2**c_power z^c_power word; ``straighten_word`` returns them.
 
-Insertion.  ``_insertion(a, w)`` builds the normal form of d_a w for a
-normal word w = (b, *rest) with a > b from
-d_a d_b rest = d_b (d_a rest) + (b - a) d_{a+b} rest [+ k c rest].
-A word is straightened by inserting its letters, from the right, into its
-longest normal suffix.  Insertions are generators that yield the
-insertions they need and are driven on an explicit stack by ``_drive``,
-so no input reaches the recursion limit; every request is strictly
-shorter than the insertion that makes it, so the stack never cycles.
+Run words.  Inside the kernel a word is kept as its runs: the tuple
+``(x_1, m_1, x_2, m_2, ...)`` stands for d_{x_1}^{m_1} d_{x_2}^{m_2} ...
+with every count positive and adjacent letters distinct; a normal word
+has strictly increasing letters.  A PBW monomial is a multiset of modes,
+so a run d_b^m costs two slots in every memo key, join and hash, not m.
+Letter tuples appear only where ``straighten_word`` and
+``evaluated_word`` take words in and hand results out.
+
+Insertion.  ``_insertion`` builds the normal form of d_a w for a normal
+word w = d_b w' with a > b (w' is w with one copy of its first run's
+letter removed) from d_a d_b w' = d_b (d_a w') + (b - a) d_{a+b} w'
+[+ k c w'].  A word is straightened by inserting its letters, from the
+right, into its longest normal suffix.  Insertions are generators that
+yield the memo key of each insertion they need and do not find in the
+memo, and are driven on an explicit stack by ``_drive``, so no input
+reaches the recursion limit; every request is strictly shorter than the
+insertion that makes it, so the stack never cycles.
 
 Head stripping.  An insertion d_a w is memoized on the word
 ``(a,) + w[:i]``, where i is the first index with w[i] >= M_i = a + (sum
-of the positive letters of w[:i]); the tail w[i:] is appended to every
+of the positive letters of w[:i]); the tail w[i:] is joined to every
 result word.  This is exact: brackets add indices, so every letter of
 d_a w[:i] in normal form is the sum of a disjoint subset of {a} and
 w[:i], which is at most M_i (when a <= 0, w[:i] holds only letters below
 a), and M_i <= w[i] <= every tail letter, so nothing ever moves into the
-tail.
+tail.  On run words two facts keep this exact:
 
-Memos: ``_normal_forms`` maps a word to its int normal form, and the
-insertion d_a head is stored under the word ``(a,) + head``: it is that
-word's normal form, so a straightened word and an insertion share one
-entry.  ``_evaluated_cache`` maps each word the action straightens to
-its normal form evaluated at w, free of psi.  Returned dicts are shared
-and must not be mutated by callers.
+* the head ends on a run boundary.  M only grows along the word, so if
+  the first copy of a run lies below it, every copy does; the scan steps
+  a run at a time, and the memo key ``(a, 1) + head`` is the same word
+  as the letter-by-letter scan gives;
+* joining a head result to the tail merges at most one run.  Every
+  letter of a head result is at most M_i <= the first tail letter, so
+  only a last run equal to that letter merges with it.
+
+The memo is looked up where a request is made, and a head result is
+added straight into the requester's accumulator with the tail joined
+on, so the driver runs only on a miss.
+
+Memos: ``_normal_forms`` maps a run word to its int normal form over
+run words, and the insertion d_a head is stored under the run word of
+``(a,) + head``: it is that word's normal form, so a straightened word
+and an insertion share one entry.  ``_evaluated_cache`` maps each run
+word the action straightens to its normal form evaluated at w, free of
+psi.  ``_parts_cache`` maps each non-positive prefix of an evaluated
+normal word to its parts tuple, so evaluated terms with one prefix share
+one tuple.  Returned dicts and tuples must not be mutated by callers.
 
 The action is the product evaluated at w: the universal module is
 U(Vir) tensored over the positive half with the character psi, so
@@ -54,7 +77,6 @@ place psi enters the kernel.  The Whittaker solver reads the same
 evaluations through ``evaluated_word`` and folds psi in itself.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
@@ -62,11 +84,13 @@ IMPL = "python"
 
 _normal_forms = {}
 _evaluated_cache = {}
+_parts_cache = {}
 
 
 def cache_clear():
     _normal_forms.clear()
     _evaluated_cache.clear()
+    _parts_cache.clear()
 
 
 def cache_size():
@@ -80,28 +104,106 @@ def central_coefficient(k):
     return Fraction(k * k * k - k, 12)
 
 
-def _times(x, terms, out):
-    """Add d_x times each normal word of ``terms`` into ``out``, yielding
-    ``(x, word)`` for each insertion that is not a plain prepend."""
-    for (t, u), n in terms.items():
-        if not u or x <= u[0]:
-            key = (t, (x,) + u)
-            out[key] = out.get(key, 0) + n
+def _runs(word):
+    """The run word of a letter word."""
+    out = []
+    last = None
+    for x in word:
+        if x == last:
+            out[-1] += 1
         else:
-            for (s, v), m in (yield x, u).items():
-                key = (t + s, v)
-                out[key] = out.get(key, 0) + n * m
+            out += (x, 1)
+            last = x
+    return tuple(out)
 
 
-def _insertion(a, w):
-    """Normal form of d_a w for a normal word w with a > w[0]."""
-    b, rest = w[0], w[1:]
+def _letters(u):
+    """The letter word of a run word."""
+    out = []
+    for i in range(0, len(u), 2):
+        out += [u[i]] * u[i + 1]
+    return tuple(out)
+
+
+def _head(x, u):
+    """Memo key ``(x, 1) + head`` of the insertion of d_x into the normal
+    run word u, x > u[0], and the length of the head."""
+    size = len(u)
+    if u[-2] < x:
+        # every letter lies below x <= M: the whole word is the head
+        return (x, 1) + u, size
+    bound = x
+    i = 0
+    while i < size:
+        y = u[i]
+        if y >= bound:
+            break
+        if y > 0:
+            bound += y * u[i + 1]
+        i += 2
+    return (x, 1) + u[:i], i
+
+
+def _add(out, terms, t, n, tail):
+    """Add n c^t times the normal form ``terms`` with the run word ``tail``
+    joined to each word into ``out``."""
+    if not tail:
+        for (s, v), m in terms.items():
+            key = (t + s, v)
+            out[key] = out.get(key, 0) + n * m
+        return
+    y, count, rest = tail[0], tail[1], tail[2:]
+    for (s, v), m in terms.items():
+        if v and v[-2] == y:
+            key = (t + s, v[:-1] + (v[-1] + count,) + rest)
+        else:
+            key = (t + s, v + tail)
+        out[key] = out.get(key, 0) + n * m
+
+
+def _times(x, terms, out):
+    """Add d_x times the normal form ``terms`` into ``out``, yielding the
+    key of each insertion that misses the memo."""
+    for (t, u), n in terms.items():
+        if not u or x < u[0]:
+            key = (t, (x, 1) + u)
+        elif x == u[0]:
+            key = (t, (x, u[1] + 1) + u[2:])
+        else:
+            head, i = _head(x, u)
+            value = _normal_forms.get(head)
+            if value is None:
+                value = yield head
+            _add(out, value, t, n, u[i:])
+            continue
+        out[key] = out.get(key, 0) + n
+
+
+def _insertion(key):
+    """Normal form of the run word ``key`` = (a, 1) + w, w normal with
+    a > w[0]."""
+    a, b, m = key[0], key[2], key[3]
+    rest = (b, m - 1) + key[4:] if m > 1 else key[4:]
+    # d_b (d_a rest); d_a rest is the memo's own entry when its head is
+    # all of rest
+    if rest and a > rest[0]:
+        head, i = _head(a, rest)
+        inner = _normal_forms.get(head)
+        if inner is None:
+            inner = yield head
+        if i < len(rest):
+            joined = {}
+            _add(joined, inner, 0, 1, rest[i:])
+            inner = joined
+    else:
+        inner = {}
+        yield from _times(a, {(0, rest): 1}, inner)
     out = {}
-    yield from _times(b, (yield a, rest), out)
-    scale = b - a
-    for key, n in (yield a + b, rest).items():
-        out[key] = out.get(key, 0) + scale * n
-    if a + b == 0:
+    yield from _times(b, inner, out)
+    # (b - a) d_{a+b} rest
+    c = a + b
+    yield from _times(c, {(0, rest): b - a}, out)
+    if c == 0:
         k = (a * a * a - a) // 6
         if k:
             key = (1, rest)
@@ -110,32 +212,31 @@ def _insertion(a, w):
 
 
 def _straightening(word):
-    """Normal form of d_{word[0]} ... d_{word[-1]}: its letters are
-    inserted, from the right, into its longest normal suffix."""
-    j = max(len(word) - 1, 0)
-    while j and word[j - 1] <= word[j]:
-        j -= 1
+    """Normal form of the run word ``word``: its letters are inserted,
+    from the right, into its longest normal suffix."""
+    j = max(len(word) - 2, 0)
+    while j and word[j - 2] < word[j]:
+        j -= 2
     terms = {(0, word[j:]): 1}
-    for x in reversed(word[:j]):
-        out = {}
-        yield from _times(x, terms, out)
-        terms = {key: n for key, n in out.items() if n}
+    for i in range(j, 0, -2):
+        x = word[i - 2]
+        for _ in range(word[i - 1]):
+            out = {}
+            yield from _times(x, terms, out)
+            terms = {key: n for key, n in out.items() if n}
     return terms
 
 
 def _drive(root):
-    """Run a straightening or insertion generator on an explicit stack.
-
-    Each request ``(a, w)`` is split into head and tail, answered from
-    ``_normal_forms`` under the word ``(a,) + head`` or by a new insertion
-    frame, and sent back with the tail appended to every word.
-    """
-    stack = [(None, (), root)]
+    """Run a straightening generator on an explicit stack: each key it
+    yields gets a new insertion frame, whose result is memoized under
+    the key and sent back."""
+    stack = [(None, root)]
     value = None
     while True:
-        key, tail, frame = stack[-1]
+        key, frame = stack[-1]
         try:
-            a, w = frame.send(value)
+            request = frame.send(value)
         except StopIteration as done:
             value = done.value
             stack.pop()
@@ -143,34 +244,19 @@ def _drive(root):
                 return value
             _normal_forms[key] = value
         else:
-            bound = a
-            i = 0
-            for x in w:
-                if x >= bound:
-                    break
-                if x > 0:
-                    bound += x
-                i += 1
-            if not i:
-                value = {(0, (a,) + w): 1}
-                continue
-            key, tail = (a,) + w[:i], w[i:]
-            value = _normal_forms.get(key)
-            if value is None:
-                stack.append((key, tail, _insertion(a, w[:i])))
-                continue
-        if tail:
-            value = {(t, u + tail): n for (t, u), n in value.items()}
+            stack.append((request, _insertion(request)))
+            value = None
 
 
 def straighten_word(word):
     """Int normal form ``{(c_power, sorted_word): n}`` of the product
     d_{word[0]} ... d_{word[-1]}, each term standing for
-    n / 2**c_power z^c_power sorted_word.  The dict is the memo's own."""
-    terms = _normal_forms.get(word)
+    n / 2**c_power z^c_power sorted_word."""
+    runs = _runs(word)
+    terms = _normal_forms.get(runs)
     if terms is None:
-        terms = _normal_forms[word] = _drive(_straightening(word))
-    return terms
+        terms = _normal_forms[runs] = _drive(_straightening(runs))
+    return {(t, _letters(u)): n for (t, u), n in terms.items()}
 
 
 def multiply_terms(a, b):
@@ -203,6 +289,33 @@ def multiply_terms(a, b):
     return {(t, w): Fraction(n, d << t) for (t, w), n in out.items() if n}
 
 
+def _evaluated(word):
+    """``evaluated_word`` of the run word ``word``."""
+    terms = _evaluated_cache.get(word)
+    if terms is None:
+        out = []
+        for (dz, v), n in _drive(_straightening(word)).items():
+            # strip the trailing runs of d_2 and d_1; letters increase, so
+            # what is left is non-positive unless its last letter is not
+            cut = len(v)
+            e1 = e2 = 0
+            if cut and v[cut - 2] == 2:
+                e2 = v[cut - 1]
+                cut -= 2
+            if cut and v[cut - 2] == 1:
+                e1 = v[cut - 1]
+                cut -= 2
+            if cut and v[cut - 2] > 0:
+                continue
+            prefix = v[:cut]
+            parts = _parts_cache.get(prefix)
+            if parts is None:
+                parts = _parts_cache[prefix] = tuple(-x for x in reversed(_letters(prefix)))
+            out.append((dz, parts, e1, e2, n))
+        terms = _evaluated_cache[word] = tuple(out)
+    return terms
+
+
 def evaluated_word(word):
     """The product d_{word[0]} ... d_{word[-1]} applied to w, free of psi:
     a tuple of ``(dz, parts, e1, e2, n)``, each standing for
@@ -211,17 +324,7 @@ def evaluated_word(word):
     word with a trailing d_n, n >= 3, vanishes and is dropped.  The word
     is straightened and evaluated once, into ``_evaluated_cache``; the
     tuple is the memo's own."""
-    terms = _evaluated_cache.get(word)
-    if terms is None:
-        out = []
-        for (dz, w), n in _drive(_straightening(word)).items():
-            cut = bisect_right(w, 0)
-            ones = bisect_right(w, 1, cut)
-            twos = bisect_right(w, 2, ones)
-            if twos == len(w):
-                out.append((dz, tuple(-i for i in reversed(w[:cut])), ones - cut, twos - ones, n))
-        terms = _evaluated_cache[word] = tuple(out)
-    return terms
+    return _evaluated(_runs(word))
 
 
 def act_terms(u_terms, v_terms, psi1, psi2):
@@ -239,15 +342,16 @@ def act_terms(u_terms, v_terms, psi1, psi2):
     """
     da = lcm(*(c.denominator for c in u_terms.values()))
     db = lcm(*(c.denominator for c in v_terms.values()))
-    lifted = [
-        (t, tuple(-k for k in reversed(lam)), lam, c.numerator * (db // c.denominator))
-        for (t, lam), c in v_terms.items()
-    ]
+    lifted = []
+    for (t, lam), c in v_terms.items():
+        wb = tuple(-k for k in reversed(lam))
+        lifted.append((t, wb, _runs(wb), lam, c.numerator * (db // c.denominator)))
     out = {}
     for (ta, wa), ca in u_terms.items():
         na = ca.numerator * (da // ca.denominator)
         neg = tuple(-i for i in reversed(wa))
-        for tb, wb, lam, nb in lifted:
+        ra = _runs(wa)
+        for tb, wb, rb, lam, nb in lifted:
             n0 = na * nb
             t0 = ta + tb
             if wb and (not wa or wa[-1] <= wb[0]):
@@ -255,7 +359,11 @@ def act_terms(u_terms, v_terms, psi1, psi2):
                 key = (t0, lam + neg, 0, 0)
                 out[key] = out.get(key, 0) + (n0 << t0)
                 continue
-            terms = evaluated_word(wa + wb)
+            # wa[-1] > wb[0] here, so the two run words join without a merge
+            word = ra + rb
+            terms = _evaluated_cache.get(word)
+            if terms is None:
+                terms = _evaluated(word)
             for dz, parts, e1, e2, n in terms:
                 # n / 2**dz over da * db * 2**(t0 + dz)
                 key = (t0 + dz, parts, e1, e2)

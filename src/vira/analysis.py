@@ -76,6 +76,7 @@ from .scalar import (
     Poly,
     poly_divmod,
     poly_ext_gcd,
+    poly_gcd,
     poly_linear_factorization,
     rational_text,
     to_rational,
@@ -674,7 +675,7 @@ def composition_series(psi, xi, a: int, trunc: TruncationSpec | None = None) -> 
         if i == a:
             nonzero_ok, proper, dim = gen.is_zero(), True, None
         else:
-            proper = bool(g_i % poly_ext_gcd(g[i + 1], p)[0])
+            proper = bool(g_i % poly_gcd(g[i + 1], p))
             nonzero_ok, dim = not gen.is_zero(), quotient_dim
         levels.append({"i": i, "generator": str(gen), "nonzero_ok": nonzero_ok,
                        "proper_inclusion": proper, "quotient_whittaker_dim": dim})

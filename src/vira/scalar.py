@@ -247,7 +247,23 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("polynomial powers must be non-negative")
-        return power(self, n, Poly.one())
+        if self.degree != 1:
+            return power(self, n, Poly.one())
+        # (b z + a)^n by the binomial theorem over ints: with a = p/q and
+        # b = r/s, the coefficient of z^k is C(n, k) A^k B^(n - k) / (q s)^n
+        # for A = r q and B = p s
+        a, b = self.coeffs
+        big_a, big_b = b.numerator * a.denominator, a.numerator * b.denominator
+        den = (a.denominator * b.denominator) ** n
+        lows = [1]
+        for _ in range(n):
+            lows.append(lows[-1] * big_b)
+        out = []
+        high = 1  # C(n, k) A^k
+        for k in range(n + 1):
+            out.append(Fraction(high * lows[n - k], den))
+            high = high * big_a * (n - k) // (k + 1)
+        return Poly(out)
 
     def __divmod__(self, other):
         return poly_divmod(self, _require_poly(other))
@@ -316,6 +332,16 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         for j in range(db):
             r[i - db + j] -= factor * b.coeffs[j]
     return Poly(q), Poly(r[:db])
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of a and b by Euclid, with no Bezout cofactors."""
+    if not a and not b:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    while b:
+        b = b.monic()
+        a, b = b, poly_divmod(a, b)[1]
+    return a.monic()
 
 
 def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -404,12 +430,12 @@ def poly_linear_factorization(p: Poly) -> list[tuple[Fraction, int]]:
     if not p.is_monic():
         raise ValueError("linear factorization requires a monic polynomial")
     dp = _derivative(p)
-    g = poly_ext_gcd(p, dp)[0]
+    g = poly_gcd(p, dp)
     b, c = poly_divmod(p, g)[0], poly_divmod(dp, g)[0]
     found, mult = [], 0
     while b.degree >= 1:
         d = c - _derivative(b)
-        a = poly_ext_gcd(b, d)[0]
+        a = poly_gcd(b, d)
         b, c = poly_divmod(b, a)[0], poly_divmod(d, a)[0]
         mult += 1
         roots = _rational_roots(a) if a.degree >= 1 else []

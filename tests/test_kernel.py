@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vira import kernel
+from vira import _kernel_py, kernel
 
 PSI = (Fraction(3, 2), Fraction(-2, 5))
 
@@ -33,11 +33,14 @@ def test_cache_controls():
     kernel.cache_clear()
     assert kernel.cache_size() == 0
     # one action on a word that is not normal fills the evaluated-word memo
-    # and memoizes the insertion d_2 d_{-2}
+    # and memoizes the insertion d_2 d_{-2}; the parts of its evaluation
+    # are kept per prefix, which is no word and is not counted
     kernel.act_terms({(0, (2,)): Fraction(1)}, {(0, (2,)): Fraction(1)}, *PSI)
     assert kernel.cache_size() == 2
+    assert _kernel_py._parts_cache
     kernel.cache_clear()
     assert kernel.cache_size() == 0
+    assert not _kernel_py._parts_cache
 
 
 def test_cache_size_counts_words_straightened():
@@ -197,3 +200,63 @@ def test_action_memo_is_psi_free(u, v, warm, psi):
     _clear()
     kernel.act_terms(u, v, *warm)
     assert kernel.act_terms(u, v, *psi) == oracle.act_terms(u, v, *psi)
+
+
+# ---------------------------------------------------------------------------
+# long runs: a normal word is kept as its runs inside the kernel
+
+def _run_word(runs):
+    return tuple(x for x, m in runs for _ in range(m))
+
+
+short_runs = st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), min_size=1, max_size=3)
+run_words = short_runs.map(_run_word).filter(lambda w: len(w) <= 12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run_words, st.integers(0, 12), st.booleans())
+def test_run_words_match_reference(word, cut, fresh):
+    # the two halves, sorted, are normal words made of runs; as the lifted
+    # module vector, the second half's letters are made non-negative
+    if fresh:
+        _clear()
+    assert _straightened(word) == oracle.straighten_word(word)
+    a = {(0, tuple(sorted(word[:cut]))): Fraction(1)}
+    b = {(1, tuple(sorted(word[cut:]))): Fraction(-2, 3)}
+    assert kernel.multiply_terms(a, b) == oracle.multiply_terms(a, b)
+    v = {(0, tuple(sorted(abs(x) for x in word[cut:]))): Fraction(5, 2)}
+    assert kernel.act_terms(a, v, *PSI) == oracle.act_terms(a, v, *PSI)
+
+
+@pytest.mark.parametrize("word", [
+    *[pytest.param((1,) * k + (-1,) * k, id=f"d1^{k}*d-1^{k}") for k in range(1, 9)],
+    *[pytest.param((5,) + (-2,) * m, id=f"d5*d-2^{m}") for m in range(1, 31)],
+])
+def test_long_runs_match_reference(word):
+    # the memo is shared, as in the engine: the shorter runs come first
+    assert _straightened(word) == oracle.straighten_word(word)
+
+
+def _long_run_word(rng):
+    # runs up to 25 whose normal forms stay small: two runs of the sl_2
+    # triple d_{-a}, d_0, d_a, at most 30 letters, or one letter into a
+    # run, d_a d_b^m (mixing letters freely, d_2^25 d_{-1}^25 has no normal
+    # form in reach; d_2^25 d_{-2}^25 takes seconds)
+    if rng.random() < 0.5:
+        a, m = rng.randint(1, 2), rng.randint(1, 25)
+        return _run_word([(a * rng.choice([-1, 0, 1]), m),
+                          (a * rng.choice([-1, 0, 1]), rng.randint(1, 30 - m))])
+    return (rng.randint(-6, 6),) + (rng.randint(-6, 6),) * rng.randint(1, 25)
+
+
+def test_long_run_product_is_straightened_word():
+    # straightening x y and multiplying the normal forms of x and y join
+    # heads and tails at different places; both must give one normal form
+    rng = random.Random(27)
+    _clear()
+    for _ in range(100):
+        word = _long_run_word(rng)
+        whole = _straightened(word)
+        for cut in rng.sample(range(len(word) + 1), min(3, len(word) + 1)):
+            x, y = _straightened(word[:cut]), _straightened(word[cut:])
+            assert kernel.multiply_terms(x, y) == whole, (word, cut)

@@ -14,6 +14,7 @@ from vira.scalar import (
     Poly,
     poly_divmod,
     poly_ext_gcd,
+    poly_gcd,
     poly_linear_factorization,
     rational_text,
     to_rational,
@@ -55,6 +56,18 @@ class TestPoly:
         for n in range(6):
             assert p ** n == expected
             expected = expected * p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+           st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+           st.integers(0, 12))
+    def test_linear_power_is_repeated_product(self, a, b, n):
+        # a degree-1 base is raised by the binomial theorem
+        p = P(a, b)
+        expected = Poly.one()
+        for _ in range(n):
+            expected = expected * p
+        assert p ** n == expected
 
     def test_to_rational_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -150,6 +163,15 @@ class TestExtGcd:
         assert g.is_monic()
         assert poly_divmod(a, g)[1].is_zero()
         assert poly_divmod(b, g)[1].is_zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys, polys)
+    def test_plain_gcd_is_the_bezout_gcd(self, a, b):
+        if a.is_zero() and b.is_zero():
+            with pytest.raises(ValueError):
+                poly_gcd(a, b)
+            return
+        assert poly_gcd(a, b) == poly_ext_gcd(a, b)[0]
 
 
 class TestLinearFactorization:
