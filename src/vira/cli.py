@@ -8,8 +8,8 @@ psi, a rational flag that is not an integer, fraction or decimal, a number
 in a flag or an expression with more than 4300 digits, a bad or oversized
 ``--lam``, ``verify leading --a`` above 1000 or ``verify dotspan --i``
 above 10^4, a non-splitting polynomial, a solve, series or orbit past its
-size cap, a series whose a x (digits of xi) is past 4300, an output
-coefficient with more than 4300 digits, wrong context), 70 internal
+size cap, an output coefficient with more than 4300 digits, wrong
+context), 70 internal
 engine error or any other crash (one line on stderr, no traceback), 141
 stdout closed before the output was written (nothing is printed).
 """

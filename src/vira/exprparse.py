@@ -206,14 +206,15 @@ def _evaluate(ast: ExpressionAST, target, enclosing: int = 1, module: bool = Fal
     """The sum of the products of ``ast``.
 
     ``target`` is ``UEAElement``, ``Poly`` (which refuses generators and
-    ``w``) or a ModuleContext (which admits ``w``).  ``enclosing`` is the
-    product of the exponents around ``ast``.  A sum is module-valued when
-    any of its products is, or when ``module`` is set; then every other
-    product must be zero, so the string ``0`` round-trips.
+    ``w``, and builds its sums, products and powers in Q[z]) or a
+    ModuleContext (which admits ``w``).  ``enclosing`` is the product of
+    the exponents around ``ast``.  A sum is module-valued when any of its
+    products is, or when ``module`` is set; then every other product must
+    be zero, so the string ``0`` round-trips.
     """
     values = [_product(product, target, enclosing) for product in ast]
     if not module and not any(isinstance(v, ModuleElement) for v in values):
-        return sum(values, UEAElement.zero())
+        return sum(values, _ring(target).zero())
     total = target.element()
     for product, value in zip(ast, values):
         if isinstance(value, ModuleElement):
@@ -227,10 +228,15 @@ def _evaluate(ast: ExpressionAST, target, enclosing: int = 1, module: bool = Fal
     return total
 
 
+def _ring(target):
+    """The ring the non-module values of ``target`` are built in."""
+    return Poly if target is Poly else UEAElement
+
+
 def _product(product: Product, target, enclosing: int):
     """A product is module-valued when its rightmost factor is ``w`` or a
     module-valued group."""
-    acc = UEAElement.one()
+    acc = _ring(target).one()
     module_value = None
     for atom in product.atoms:
         if module_value is not None:
@@ -260,9 +266,9 @@ def _atom(atom: Atom, target, exponent: int):
     if atom.kind == "gen":
         return UEAElement.generator(atom.value) ** atom.power
     if atom.kind == "z":
-        return UEAElement.z_power(atom.power)
+        return Poly.z() ** atom.power if target is Poly else UEAElement.z_power(atom.power)
     if atom.kind == "num":
-        return UEAElement.one() * (atom.value ** atom.power)
+        return _ring(target).one() * (atom.value ** atom.power)
     if atom.kind == "w":
         if not isinstance(target, ModuleContext):
             raise ExpressionError(
@@ -294,4 +300,4 @@ def parse_module(text: str, ctx: ModuleContext) -> ModuleElement:
 
 def parse_poly(text: str) -> Poly:
     """Evaluate an expression built from z and rationals into Q[z]."""
-    return _evaluate(parse_expression(text), Poly).poly_part()
+    return _evaluate(parse_expression(text), Poly)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -656,8 +657,8 @@ class TestCompositionSeries:
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     @pytest.mark.parametrize("maxdeg, zerocap", [(0, 0), (0, 2), (2, 0), (2, 2), (3, 0), (3, 2)])
     def test_z_shift_spans_match_full_window(self, psi, xi, a, maxdeg, zerocap):
-        # the generators live at lam = (), and rows of different lam never
-        # mix in the echelon, so the z-shifts decide every inclusion
+        # the reported inclusions are derived from freeness over Q[z]; an
+        # elimination over the whole window finds the same
         trunc = TruncationSpec(maxdeg, zerocap)
         report = composition_series(psi, xi, a, trunc)
         assert [lv["proper_inclusion"] for lv in report.witness["levels"]] == \
@@ -687,10 +688,23 @@ class TestCompositionSeries:
         assert series_calls == solve_calls > 0
 
     def test_echelon_runs_only_in_the_solve(self, monkeypatch):
-        # each level is a gcd and a remainder in Q[z], not an elimination
+        # every level follows from freeness over Q[z], not from an elimination
         series_calls, solve_calls = self._series_and_solve_calls(
             monkeypatch, analysis, "_echelon_insert")
         assert series_calls == solve_calls > 0
+
+    def test_no_level_computes_a_gcd(self, monkeypatch):
+        # proper_inclusion is derived: g_{i+1} divides p, so a gcd per
+        # level only ever returned g_{i+1}
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "vira"]:
+            for name in ("poly_gcd", "poly_ext_gcd"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        report = composition_series(PSI, Fraction(5, 7), 4, TruncationSpec(3, 2))
+        assert report.passed
+        assert [lv["proper_inclusion"] for lv in report.witness["levels"]] == [True] * 5
+        assert calls == []
 
     def test_extraction_lands_in_expected_layer(self):
         # a Whittaker vector extracted from a chain layer is q(z) w with

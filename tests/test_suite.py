@@ -5,6 +5,8 @@ import re
 
 from vira import suite
 from vira.analysis import Report
+from vira.cli import main
+from vira.errors import ReductionError
 from vira.virasoro import UEAElement
 
 
@@ -82,3 +84,48 @@ def test_coherence_failures_name_the_cell(monkeypatch):
     assert len(report.witness["failures"]) == 5
     for text in report.witness["failures"]:
         assert re.fullmatch(r"u=.+ v=.+ m=.+ ctx=(M|L:xi=.+)", text)
+
+
+def test_decomposition_cell_sees_a_solver_that_drops_a_vector(monkeypatch):
+    # the whole quotient's Whittaker dimension (3) against the sum over
+    # the report's components (2 + 1): dropping a vector breaks it
+    real = suite.whittaker_solve
+    monkeypatch.setattr(suite, "whittaker_solve", lambda ctx, trunc: real(ctx, trunc)[1:])
+    report = suite.check_decomposition()
+    assert report.passed is False
+    assert report.witness["truncated_dimension_sum_ok"] is False
+    assert report.witness["bezout_identity"] is True
+
+
+def test_nilpotency_bound_one_too_small_fails_verify_all(monkeypatch, capsys):
+    # the engine's loop with its bound lowered by one: it raises once the
+    # true index passes the lowered bound
+    real = suite.nilpotency_index
+
+    def lowered(n, lam, psi):
+        index, bound = real(n, lam, psi)
+        if index > bound - 1:
+            raise ReductionError(f"dot action of d_{n} not nilpotent within the bound {bound - 1}")
+        return index, bound - 1
+
+    monkeypatch.setattr(suite, "nilpotency_index", lowered)
+    code = main(["verify", "all"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL  local_nilpotency" in out
+    assert out.count("FAIL  ") == 1
+    report = suite.check_local_nilpotency()
+    assert report.passed is False
+    assert report.witness["failures"][0].startswith("n=1 lam=(): dot action of d_1 not nilpotent")
+
+
+def test_descent_error_is_a_failing_cell(monkeypatch):
+    def broken(v):
+        raise ReductionError("descent measure failed to decrease")
+
+    monkeypatch.setattr(suite, "whittaker_reduce", broken)
+    report = suite.check_constructive_simplicity(0)
+    assert report.passed is False
+    assert len(report.witness["failures"]) == 5
+    assert all(re.fullmatch(r"sample \d+: v=.+: descent measure failed to decrease", text)
+               for text in report.witness["failures"])
